@@ -44,6 +44,7 @@ an error outcome and the engine's retry/abandon machinery takes over.
 
 from __future__ import annotations
 
+import contextvars
 import multiprocessing
 import multiprocessing.pool
 import socket
@@ -62,7 +63,7 @@ from repro.errors import (
     WorkerUnavailableError,
 )
 from repro.fuzz.parallel import ShardOutcome, ShardTask, _execute_task
-from repro.obs import OBS
+from repro.obs import ACTIVE, NULL_METRICS, NULL_TRACER, OBS
 
 
 # ---- shared plumbing --------------------------------------------------
@@ -138,15 +139,13 @@ _WORKER_CONTEXT: tuple[Trace, VmSnapshot | None] | None = None
 def _worker_init(trace: Trace, snapshot: VmSnapshot | None) -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = (trace, snapshot)
-    # A forked worker inherits the parent's process-wide observability
-    # state — including a Tracer whose sink fd is shared with the
+    # A forked worker inherits the forking thread's observability
+    # context — including a Tracer whose sink fd is shared with the
     # parent and every sibling.  Interleaved writes would corrupt the
     # trace and make it scheduling-dependent, so workers always start
-    # from the null (disabled) state; per-shard metrics come back on
+    # from the null (disabled) pair; per-shard metrics come back on
     # the stats channel instead (``ShardTask.collect_metrics``).
-    from repro.obs import uninstall
-
-    uninstall()
+    ACTIVE.set((NULL_TRACER, NULL_METRICS))
 
 
 def _pool_run_shard(task: ShardTask) -> ShardOutcome:
@@ -431,10 +430,13 @@ class SocketTransport:
         # a fresh chance: the process may have been restarted since.
         for link in self._links:
             link.alive = True
+        # Each driver runs in a copy of the caller's context, so its
+        # ambient ``transport_*`` counters and ``iris.transport.*``
+        # events reach the caller's observability scope.
         threads = [
             threading.Thread(
-                target=self._drive,
-                args=(link, state),
+                target=contextvars.copy_context().run,
+                args=(self._drive, link, state),
                 name=f"iris-transport-{link.name}",
                 daemon=True,
             )

@@ -86,18 +86,7 @@ class WorkerServer:
     daemon thread.  ``heartbeat_interval`` paces liveness frames while
     a shard runs; it must be comfortably below the controller's
     ``heartbeat_timeout``.
-
-    Shard execution is serialized process-wide (one shard at a time
-    across every server and connection in this process): the hermetic
-    per-shard metrics capture swaps the process-global observability
-    state, and overlapping installs from sibling threads would race
-    its save/restore.  Heartbeats keep flowing while a shard waits
-    for its turn, so the controller sees a busy worker, not a dead
-    one.
     """
-
-    #: Process-wide shard serialization (see the class docstring).
-    _EXEC_LOCK = threading.Lock()
 
     def __init__(
         self,
@@ -163,6 +152,12 @@ class WorkerServer:
         """Stop accepting and sever every live connection (idempotent)."""
         self._stopping = True
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, so the accept thread exits.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
@@ -273,10 +268,7 @@ class WorkerServer:
 
         def runner() -> None:
             try:
-                with WorkerServer._EXEC_LOCK:
-                    box["outcome"] = _execute_task(
-                        task, trace, snapshot
-                    )
+                box["outcome"] = _execute_task(task, trace, snapshot)
             finally:
                 done.set()
 

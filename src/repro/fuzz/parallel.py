@@ -66,7 +66,6 @@ reassigning a shard from a dead remote worker to a surviving one.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing.pool
 import random
 import time
 from dataclasses import dataclass, field
@@ -83,7 +82,12 @@ from repro.fuzz.fuzzer import FuzzResult, IrisFuzzer
 from repro.fuzz.mutations import MutationArea
 from repro.fuzz.testcase import FuzzTestCase
 from repro.hypervisor.coverage import CoverageMap
-from repro.obs import MetricsRegistry, MetricsSnapshot, observability
+from repro.obs import (
+    NULL_TRACER,
+    MetricsRegistry,
+    MetricsSnapshot,
+    observability,
+)
 
 
 # ---- deterministic seeding -------------------------------------------
@@ -403,25 +407,11 @@ def _execute_task(
         metrics_snapshot = None
         if task.collect_metrics:
             # Hermetic capture: a fresh wall-clock-free registry (and a
-            # null tracer) scoped to this shard only, so the snapshot
-            # is a pure function of the task and merges identically
-            # for any ``jobs`` value.  Confined to this thread: when
-            # the shard runs inside an in-process worker server, the
-            # controller's own threads (transport counters, ambient
-            # tracing) must neither leak into this snapshot nor lose
-            # their events to it.
-            from repro.obs import (
-                NULL_TRACER,
-                OBS,
-                ThreadConfinedMetrics,
-                ThreadConfinedTracer,
-            )
-
+            # null tracer) scoped to this shard's context only, so the
+            # snapshot is a pure function of the task and merges
+            # identically for any ``jobs`` value.
             registry = MetricsRegistry(record_wall=False)
-            with observability(
-                tracer=ThreadConfinedTracer(NULL_TRACER, OBS.tracer),
-                metrics=ThreadConfinedMetrics(registry, OBS.metrics),
-            ):
+            with observability(tracer=NULL_TRACER, metrics=registry):
                 result = run_shard(task, trace, snapshot)
             metrics_snapshot = registry.snapshot()
         else:
@@ -708,35 +698,6 @@ class ParallelCampaign:
         if not tasks:
             return []
         return self.transport().run_tasks(tasks)
-
-    # The pool-lifecycle surface below predates the transport layer;
-    # it remains as a thin view onto the default local transport (the
-    # lifecycle tests pin its warm/teardown semantics through it).
-
-    @property
-    def _pool(self) -> multiprocessing.pool.Pool | None:
-        from repro.campaign.transport import LocalPoolTransport
-
-        if isinstance(self._transport, LocalPoolTransport):
-            return self._transport._pool
-        return None
-
-    def _ensure_pool(self, n_tasks: int) -> multiprocessing.pool.Pool:
-        from repro.campaign.transport import LocalPoolTransport
-
-        transport = self.transport()
-        if not isinstance(transport, LocalPoolTransport):
-            raise TypeError(
-                "campaign runs on "
-                f"{transport.describe()}, which has no local pool"
-            )
-        return transport._ensure_pool(n_tasks)
-
-    def _discard_pool(self) -> None:
-        from repro.campaign.transport import LocalPoolTransport
-
-        if isinstance(self._transport, LocalPoolTransport):
-            self._transport._discard_pool()
 
     # -- bookkeeping / merging ----------------------------------------
 

@@ -112,11 +112,21 @@ def _set_cr0(hv, vcpu: Vcpu, value: int) -> None:
                 # VMWRITE accuracy metric.
                 cr3 = hv.vmread(vcpu, ArchField.GUEST_CR3)
                 hv.clock.charge("guest_mem_access")
-                assert vcpu.domain is not None
-                for i in range(4):
-                    pdpte = vcpu.domain.memory.read_u64(
-                        (cr3 & ~0x1F) + 8 * i
+                domain = vcpu.domain
+                assert domain is not None
+                base = cr3 & ~0x1F
+                if base + 32 > domain.memory.size_bytes:
+                    # Xen's vmx_load_pdptrs(): a PDPTE page the guest
+                    # does not have (e.g. a mutated CR3) crashes the
+                    # domain instead of faulting the hypervisor.
+                    hv.log.error(
+                        f"d{domain.domid}: bad PDPTE page at {base:#x}"
                     )
+                    domain.domain_crash(
+                        f"PDPTE load beyond guest memory: {base:#x}"
+                    )
+                for i in range(4):
+                    pdpte = domain.memory.read_u64(base + 8 * i)
                     vcpu.write_field(
                         ArchField(int(ArchField.GUEST_PDPTE0) + 2 * i),
                         pdpte,

@@ -1,11 +1,12 @@
 """``repro.obs`` — structured tracing, metrics and profiling.
 
 The observability substrate the rest of the stack reports into
-(DESIGN.md §7).  Process-wide state lives in :data:`OBS`, a single
-holder whose ``tracer`` and ``metrics`` attributes default to null
-implementations — so every instrumentation point in the hot path pays
-one attribute check (``OBS.metrics.enabled`` / ``OBS.tracer.enabled``)
-when observability is off, and nothing else.
+(DESIGN.md §7).  The active (tracer, metrics) pair lives in one
+:class:`contextvars.ContextVar`, :data:`ACTIVE`, whose default is the
+null pair; :data:`OBS` is the read-only view every instrumentation
+site goes through (``OBS.metrics.enabled`` / ``OBS.tracer.enabled``),
+so disabled observability costs one context lookup per site and
+nothing else.
 
 Usage::
 
@@ -15,20 +16,19 @@ Usage::
         manager.record_workload("idle", n_exits=100)
     print(o.metrics.snapshot().counter_total("exits_handled"))
 
-:func:`observability` installs on entry and restores the previous state
-on exit, so nested scopes (a campaign shard inside an instrumented CLI
-run) compose.
+:func:`observability` sets the pair on entry and resets it on exit, so
+nested scopes (a campaign shard inside an instrumented CLI run)
+compose.  A scope is confined to its context: a new thread starts from
+the null pair, and sees an enclosing scope only when it is started
+inside a copy of that context (``contextvars.copy_context().run``).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Union
 
-from repro.obs.confine import (
-    ThreadConfinedMetrics,
-    ThreadConfinedTracer,
-)
 from repro.obs.flight import (
     FlightReport,
     flight_report,
@@ -53,6 +53,7 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
+    "ACTIVE",
     "FlightReport",
     "HistogramSnapshot",
     "MetricsRegistry",
@@ -63,57 +64,42 @@ __all__ = [
     "NullTracer",
     "OBS",
     "ObsState",
-    "ThreadConfinedMetrics",
-    "ThreadConfinedTracer",
     "TraceEvent",
     "Tracer",
     "bucket_of",
     "flight_report",
     "flight_summary",
-    "install",
     "labels_key",
     "load_trace_events",
     "observability",
     "summarize_trace_events",
-    "uninstall",
 ]
 
-AnyTracer = Union[Tracer, NullTracer, ThreadConfinedTracer]
-AnyMetrics = Union[MetricsRegistry, NullMetrics, ThreadConfinedMetrics]
+AnyTracer = Union[Tracer, NullTracer]
+AnyMetrics = Union[MetricsRegistry, NullMetrics]
+
+#: The active (tracer, metrics) pair of the current context.
+ACTIVE: ContextVar[tuple[AnyTracer, AnyMetrics]] = ContextVar(
+    "repro.obs.active", default=(NULL_TRACER, NULL_METRICS)
+)
 
 
 class ObsState:
-    """The process-wide observability switchboard."""
+    """Read-only view of the current context's observability pair."""
 
-    __slots__ = ("tracer", "metrics")
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self.tracer: AnyTracer = NULL_TRACER
-        self.metrics: AnyMetrics = NULL_METRICS
+    @property
+    def tracer(self) -> AnyTracer:
+        return ACTIVE.get()[0]
+
+    @property
+    def metrics(self) -> AnyMetrics:
+        return ACTIVE.get()[1]
 
 
 #: The singleton every instrumentation site reads.
 OBS = ObsState()
-
-
-def install(
-    tracer: AnyTracer | None = None,
-    metrics: AnyMetrics | None = None,
-) -> tuple[AnyTracer, AnyMetrics]:
-    """Swap in a tracer and/or metrics registry; returns the previous
-    pair so callers can restore it."""
-    previous = (OBS.tracer, OBS.metrics)
-    if tracer is not None:
-        OBS.tracer = tracer
-    if metrics is not None:
-        OBS.metrics = metrics
-    return previous
-
-
-def uninstall() -> None:
-    """Reset to the null (disabled) defaults."""
-    OBS.tracer = NULL_TRACER
-    OBS.metrics = NULL_METRICS
 
 
 class ObsScope:
@@ -131,9 +117,15 @@ def observability(
     tracer: AnyTracer | None = None,
     metrics: AnyMetrics | None = None,
 ) -> Iterator[ObsScope]:
-    """Scoped install: swap in, yield the active pair, restore."""
-    previous = install(tracer=tracer, metrics=metrics)
+    """Scoped set: swap in either half of the pair (``None`` keeps the
+    current one), yield the active pair, reset on exit."""
+    current_tracer, current_metrics = ACTIVE.get()
+    pair = (
+        current_tracer if tracer is None else tracer,
+        current_metrics if metrics is None else metrics,
+    )
+    token = ACTIVE.set(pair)
     try:
-        yield ObsScope(OBS.tracer, OBS.metrics)
+        yield ObsScope(*pair)
     finally:
-        OBS.tracer, OBS.metrics = previous
+        ACTIVE.reset(token)

@@ -76,8 +76,9 @@ def cli_observability(args: argparse.Namespace) -> Iterator[CliObs | None]:
     """Scoped observability for one CLI command.
 
     Yields ``None`` when neither flag was given (the zero-cost path);
-    otherwise installs the tracer/registry process-wide for the
-    command's duration and writes the output files on exit — including
+    otherwise sets the tracer/registry for the command's context (and
+    the threads it starts in a copy of that context) for its duration
+    and writes the output files on exit — including
     the error path, so a crashed run still leaves its flight data.
     """
     trace_path = getattr(args, "trace_out", None)

@@ -73,6 +73,27 @@ class TestOverheadAndGap:
         )
         assert p < 0.05  # the paper's significance criterion
 
+    #: Two-sided p-values from scipy 1.17.1's
+    #: ``mannwhitneyu(x, y, alternative="two-sided")``.
+    @pytest.mark.parametrize("real, replay, expected", [
+        # exact: no ties, smaller sample <= 8
+        ([1.4, 1.45, 1.43, 1.44], [0.2, 0.21, 0.22, 0.21],
+         0.029401048190339642),
+        ([1, 2, 3, 4, 5], [3.5, 6, 7, 8], 0.06349206349206349),
+        ([1.0, 2.0, 3.0], [1.5, 2.5, 3.5], 0.7),
+        # normal approximation: both samples > 8
+        (list(range(15)), [v + 3.5 for v in range(15)],
+         0.05639236422683157),
+        ([0.1 * i for i in range(9)],
+         [0.1 * i + 0.05 for i in range(10)], 0.48766835345893045),
+        # normal approximation with tie correction
+        ([1, 1, 2, 3], [2, 3, 3, 4, 5], 0.07854585095119067),
+        ([5, 5, 5], [5, 5, 5], 1.0),
+    ])
+    def test_significance_matches_scipy(self, real, replay, expected):
+        assert repeated_timing_significance(real, replay) == \
+            pytest.approx(expected, rel=1e-12)
+
     def test_significance_needs_samples(self):
         with pytest.raises(ValueError):
             repeated_timing_significance([1.0], [2.0])

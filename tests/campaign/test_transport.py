@@ -46,6 +46,7 @@ from repro.core.manager import IrisManager
 from repro.fuzz.mutations import MutationArea
 from repro.fuzz.parallel import ParallelCampaign, ShardTask
 from repro.fuzz.testcase import plan_test_cases
+from repro.obs import MetricsRegistry, Tracer, flight_summary, observability
 from repro.vmx.exit_reasons import ExitReason
 
 CAMPAIGN_SEED = 0x1215
@@ -177,6 +178,39 @@ def test_socket_transport_is_byte_identical(
     assert transport.stats.retries == 0
     assert transport.stats.frames > 0
     assert transport.stats.bytes > 0
+
+
+def test_socket_wave_reports_into_the_callers_scope(
+    tmp_path, recordings, cases, local_refs, servers
+):
+    """The driver threads run in a copy of the caller's context: the
+    ambient ``transport_*`` counters and ``iris.transport.*`` events
+    reach the caller's registry and tracer (the flight recorder's
+    "worker transport" line), while the shards' hermetic snapshots
+    stay untouched."""
+    registry = MetricsRegistry()
+    tracer = Tracer()
+    transport = SocketTransport(
+        [server.address for server in servers], backoff_base=0.01,
+    )
+    engine = make_engine(
+        recordings, cases, "vmx", transport=transport
+    )
+    with observability(tracer=tracer, metrics=registry):
+        with CampaignStore(str(tmp_path / "scoped.db")) as store:
+            result = CampaignController(
+                engine, store, wave_size=WAVE_SIZE
+            ).run()
+    assert_identical(result, local_refs[("vmx", 1)][0])
+    snapshot = registry.snapshot()
+    assert snapshot.counter_total("transport_frames") == \
+        transport.stats.frames > 0
+    assert snapshot.counter_total("transport_bytes") == \
+        transport.stats.bytes
+    assert "worker transport: " in flight_summary(snapshot)
+    assert "iris.transport.connect" in {
+        event.name for event in tracer.events()
+    }
 
 
 def test_resume_over_socket_transport_is_exact(
@@ -514,6 +548,15 @@ class TestAddressing:
             assert server.address == f"127.0.0.1:{server.port}"
             assert parse_worker_address(server.address) == \
                 ("127.0.0.1", server.port)
+
+    def test_stop_wakes_the_accept_thread(self):
+        server = WorkerServer().start()
+        accept_thread = server._accept_thread
+        assert accept_thread is not None and accept_thread.is_alive()
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
+        assert not accept_thread.is_alive()
 
 
 class TestChaosSpec:

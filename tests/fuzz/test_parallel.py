@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.campaign.transport import LocalPoolTransport
 from repro.core.manager import IrisManager
 from repro.core.seed import SeedEntry, VMSeed
 from repro.fuzz.failures import FailureKind, FailureRecord
@@ -565,20 +566,28 @@ class TestFaultIsolation:
 
 # ---- the persistent worker pool --------------------------------------
 
+def _local_transport(campaign: ParallelCampaign) -> LocalPoolTransport:
+    """The campaign's default (primed) transport: the pool's owner."""
+    transport = campaign.transport()
+    assert isinstance(transport, LocalPoolTransport)
+    return transport
+
+
 class TestPoolLifecycle:
     def test_pool_is_reused_until_discarded(self, recorded, cases):
         campaign = ParallelCampaign(
             recorded.trace, recorded.snapshot, cases,
             campaign_seed=CAMPAIGN_SEED, jobs=2,
         )
+        transport = _local_transport(campaign)
         try:
-            pool = campaign._ensure_pool(4)
-            assert campaign._ensure_pool(4) is pool
+            pool = transport._ensure_pool(4)
+            assert transport._ensure_pool(4) is pool
         finally:
-            campaign._discard_pool()
-        assert campaign._pool is None
-        # Discard is idempotent (run() calls it again in its finally).
-        campaign._discard_pool()
+            transport._discard_pool()
+        assert transport._pool is None
+        # Discard is idempotent (close() calls it again).
+        transport.close()
 
     def test_retry_runs_on_the_warm_pool(self, recorded, cases):
         """A raise-fault retry reuses the campaign's workers instead of
@@ -616,17 +625,18 @@ class TestPoolLifecycle:
         assert all(t.fault_kind == "hang" for t in tasks)
         import time
         started = time.monotonic()
+        transport = _local_transport(campaign)
         try:
-            outcomes = campaign._run_tasks(tasks)
+            outcomes = transport.run_tasks(tasks)
+            # The hang forced the pool's replacement.
+            assert transport._pool is None
         finally:
-            campaign._discard_pool()
+            transport.close()
         elapsed = time.monotonic() - started
         assert all("Timeout" in (o.error or "") for o in outcomes)
         # One absolute deadline (plus pool startup + teardown slack),
         # strictly below the 4 x timeout the per-shard clock allowed.
         assert elapsed < 4 * timeout - 0.5
-        # The hang forced the pool's replacement.
-        assert campaign._pool is None
 
 
 # ---- the stats channel -----------------------------------------------

@@ -8,6 +8,7 @@ from repro.core.replay import ReplayOutcome, SeedReplayResult
 from repro.core.seed import (
     ExitMetrics,
     SeedEntry,
+    SeedFlag,
     Trace,
     VMExitRecord,
     VMSeed,
@@ -120,6 +121,45 @@ class TestFailureClassification:
             result, VMSeed(exit_reason=0), 0, log
         )
         assert record.kind is FailureKind.HYPERVISOR_CRASH
+
+    def test_pdpte_page_past_guest_memory_is_a_vm_crash(self):
+        """A mutated CR3 pointing past guest memory at PAE paging
+        activation crashes the domain (Xen's ``vmx_load_pdptrs``)
+        instead of escaping replay as a raw ``ValueError``."""
+        from repro.arch.fields import ArchField
+        from repro.core.manager import IrisManager
+
+        manager = IrisManager()
+        session = manager.record_workload("os-boot", n_exits=400)
+        records = session.trace.records
+        index, entry_index = next(
+            (i, j)
+            for i, record in enumerate(records)
+            if record.seed.reason is ExitReason.CR_ACCESS
+            for j, entry in enumerate(record.seed.entries)
+            if entry.flag is SeedFlag.VMCS_READ
+            and entry.vmcs_field is ArchField.GUEST_CR3
+        )
+        seed = records[index].seed
+        mutant = seed.replace_entry(entry_index, SeedEntry.for_vmcs(
+            SeedFlag.VMCS_READ, ArchField.GUEST_CR3, 1 << 40,
+        ))
+        prefix = Trace(workload="os-boot", records=records[:index])
+        replayed = manager.replay_trace(
+            prefix, from_snapshot=session.snapshot, record_metrics=False,
+        )
+        assert not replayed.crashed
+        assert manager.submit_seed(seed).outcome is ReplayOutcome.OK
+
+        manager.replay_trace(
+            prefix, from_snapshot=session.snapshot, record_metrics=False,
+        )
+        result = manager.submit_seed(mutant)
+        assert result.outcome is ReplayOutcome.VM_CRASH
+        assert "PDPTE" in (result.crash_reason or "")
+        record = classify_result(result, mutant, 0, XenLog())
+        assert record is not None
+        assert record.kind is FailureKind.VM_CRASH
 
     def test_diagnose_entry_failure(self):
         assert "consistency" in diagnose_cause(

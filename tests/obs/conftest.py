@@ -1,19 +1,18 @@
 """Observability-suite fixtures.
 
-The obs layer is process-global state (the ``OBS`` switchboard), so
-every test here runs inside a guard that restores the null defaults —
-a leaked install would silently change other tests' behavior.
+Every test here runs inside a null-pair observability scope, so it
+starts from the disabled defaults and anything a test leaves set is
+reset when the scope exits.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import uninstall
+from repro.obs import NULL_METRICS, NULL_TRACER, observability
 
 
 @pytest.fixture(autouse=True)
 def _obs_hygiene():
-    uninstall()
-    yield
-    uninstall()
+    with observability(tracer=NULL_TRACER, metrics=NULL_METRICS):
+        yield

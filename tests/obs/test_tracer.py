@@ -1,9 +1,14 @@
-"""Unit tests for the tracer, the OBS switchboard, and the flight
-recorder rendering."""
+"""Unit tests for the tracer, the context-scoped OBS pair, and the
+flight recorder rendering."""
 
 from __future__ import annotations
 
+import contextvars
 import io
+import sys
+import threading
+
+import pytest
 
 from repro.obs import (
     MetricsRegistry,
@@ -14,11 +19,9 @@ from repro.obs import (
     Tracer,
     flight_report,
     flight_summary,
-    install,
     load_trace_events,
     observability,
     summarize_trace_events,
-    uninstall,
 )
 
 
@@ -97,10 +100,9 @@ def test_default_trace_has_no_wall_clock():
     assert wall_tracer.events()[0].wall is not None
 
 
-# ---- the OBS switchboard ---------------------------------------------
+# ---- the context-scoped OBS pair --------------------------------------
 
 def test_defaults_are_null_and_disabled():
-    uninstall()
     assert OBS.tracer is NULL_TRACER
     assert OBS.metrics is NULL_METRICS
     assert not OBS.tracer.enabled
@@ -128,11 +130,101 @@ def test_observability_scope_installs_and_restores():
     assert OBS.metrics is NULL_METRICS
 
 
-def test_install_returns_previous_pair():
+def test_scope_restores_on_exception():
     tracer = Tracer()
-    previous = install(tracer=tracer)
-    assert previous == (NULL_TRACER, NULL_METRICS)
-    assert OBS.tracer is tracer
+    with pytest.raises(RuntimeError):
+        with observability(tracer=tracer):
+            assert OBS.tracer is tracer
+            raise RuntimeError("x")
+    assert OBS.tracer is NULL_TRACER
+
+
+def test_new_thread_starts_from_the_null_pair():
+    seen = {}
+
+    def probe():
+        seen["pair"] = (OBS.tracer, OBS.metrics)
+
+    with observability(tracer=Tracer(), metrics=MetricsRegistry()):
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert seen["pair"] == (NULL_TRACER, NULL_METRICS)
+
+
+def test_hermetic_scope_is_confined_to_its_thread():
+    """While thread A holds a hermetic scope, thread B's increments
+    reach the ambient registry and never A's snapshot."""
+    ambient, hermetic = MetricsRegistry(), MetricsRegistry()
+    a_in_scope, b_done = threading.Event(), threading.Event()
+
+    def thread_a():
+        with observability(metrics=hermetic):
+            OBS.metrics.inc("shard_work")
+            a_in_scope.set()
+            b_done.wait(timeout=10)
+            OBS.metrics.inc("shard_work")
+        OBS.metrics.inc("after_scope")
+
+    def thread_b():
+        a_in_scope.wait(timeout=10)
+        OBS.metrics.inc("transport_frames", value=3)
+        b_done.set()
+
+    with observability(metrics=ambient):
+        # Both threads start inside a copy of the ambient context, as
+        # the socket transport's driver threads do.
+        threads = [
+            threading.Thread(target=contextvars.copy_context().run,
+                             args=(fn,))
+            for fn in (thread_a, thread_b)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    assert hermetic.snapshot().counter_total("shard_work") == 2
+    assert hermetic.snapshot().counter_total("transport_frames") == 0
+    assert hermetic.snapshot().counter_total("after_scope") == 0
+    assert ambient.snapshot().counter_total("transport_frames") == 3
+    assert ambient.snapshot().counter_total("after_scope") == 1
+    assert ambient.snapshot().counter_total("shard_work") == 0
+
+
+def test_concurrent_hermetic_scopes_stay_exact():
+    """More threads than cores, each in its own hermetic scope, with a
+    short switch interval: every registry counts exactly its own
+    thread's increments, and the ambient registry none of them."""
+    n_threads, n_incs = 8, 2000
+    ambient = MetricsRegistry()
+    registries = [MetricsRegistry() for _ in range(n_threads)]
+
+    def shard(registry):
+        with observability(tracer=NULL_TRACER, metrics=registry):
+            for _ in range(n_incs):
+                OBS.metrics.inc("work")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with observability(metrics=ambient):
+            threads = [
+                threading.Thread(target=contextvars.copy_context().run,
+                                 args=(shard, registry))
+                for registry in registries
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.snapshot().counter_total("work") for r in registries] \
+        == [n_incs] * n_threads
+    assert ambient.snapshot().counter_total("work") == 0
 
 
 # ---- flight recorder --------------------------------------------------
