@@ -8,7 +8,8 @@ run.  That question belongs to a :class:`WorkerTransport`:
 * :class:`LocalPoolTransport` — the warm ``multiprocessing`` pool
   (behavior-preserving extraction of the engine's previous inline
   pool management, absolute wave deadlines and hang handling
-  included);
+  included), which also relays prefix checkpoints between its
+  workers so the trace prefix is replayed once, not once per worker;
 * :class:`SocketTransport` — remote workers reached over the
   length-prefixed wire protocol (:mod:`repro.campaign.wire`), started
   with the ``iris-worker`` entrypoint
@@ -47,6 +48,8 @@ from __future__ import annotations
 import contextvars
 import multiprocessing
 import multiprocessing.pool
+import multiprocessing.queues
+import queue
 import socket
 import threading
 import time
@@ -62,7 +65,14 @@ from repro.errors import (
     TransportProtocolError,
     WorkerUnavailableError,
 )
-from repro.fuzz.parallel import ShardOutcome, ShardTask, _execute_task
+from repro.fuzz.checkpoints import MAX_PREFIX_CHECKPOINTS, Checkpoint
+from repro.fuzz.parallel import (
+    ShardOutcome,
+    ShardTask,
+    StoreKey,
+    WorkerContext,
+    _execute_task,
+)
 from repro.obs import ACTIVE, NULL_METRICS, NULL_TRACER, OBS
 
 
@@ -133,12 +143,26 @@ class WorkerTransport(Protocol):
 
 #: Per-worker campaign context, installed once by the pool initializer
 #: so the (large) trace is pickled once per worker, not once per task.
-_WORKER_CONTEXT: tuple[Trace, VmSnapshot | None] | None = None
+#: Only ever set inside a pool worker process, which runs one shard at
+#: a time, so its prefix checkpoints stay warm across the campaign.
+_WORKER_CONTEXT: WorkerContext | None = None
+#: The pool's relay queue (see :class:`LocalPoolTransport`).
+_RELAY: multiprocessing.queues.Queue[tuple] | None = None
 
 
-def _worker_init(trace: Trace, snapshot: VmSnapshot | None) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (trace, snapshot)
+def _worker_init(
+    trace: Trace,
+    snapshot: VmSnapshot | None,
+    relay: multiprocessing.queues.Queue[tuple],
+) -> None:
+    global _WORKER_CONTEXT, _RELAY
+    _RELAY = relay
+    _WORKER_CONTEXT = WorkerContext(
+        trace, snapshot,
+        publish=lambda key, index, checkpoint: relay.put(
+            ("checkpoint", key, index, checkpoint)
+        ),
+    )
     # A forked worker inherits the forking thread's observability
     # context — including a Tracer whose sink fd is shared with the
     # parent and every sibling.  Interleaved writes would corrupt the
@@ -148,11 +172,29 @@ def _worker_init(trace: Trace, snapshot: VmSnapshot | None) -> None:
     ACTIVE.set((NULL_TRACER, NULL_METRICS))
 
 
-def _pool_run_shard(task: ShardTask) -> ShardOutcome:
-    """Pool entry point: pull the per-worker context and execute."""
-    assert _WORKER_CONTEXT is not None, "worker not initialized"
-    trace, snapshot = _WORKER_CONTEXT
-    return _execute_task(task, trace, snapshot)
+def _pool_run_shard(
+    token: int,
+    task: ShardTask,
+    start: tuple[int, Checkpoint] | None,
+    waypoints: frozenset[int],
+) -> ShardOutcome:
+    """Pool entry point: seed the worker's store from the relay, run
+    the shard, then tell the parent (on the relay) it is done."""
+    assert _WORKER_CONTEXT is not None and _RELAY is not None, \
+        "worker not initialized"
+    try:
+        if task.fast_reset:
+            # Pool workers run under the null registry, so a shard's
+            # reach collects metrics exactly when its task does.
+            store = _WORKER_CONTEXT.checkpoints(
+                task.arch, task.collect_metrics
+            )
+            if start is not None:
+                store.adopt(*start)
+            store.waypoints = waypoints
+        return _execute_task(task, _WORKER_CONTEXT)
+    finally:
+        _RELAY.put(("done", token))
 
 
 # ---- the local pool ---------------------------------------------------
@@ -175,6 +217,20 @@ class LocalPoolTransport:
     timeout that restarts whenever the previous result arrives, so a
     wave of N queued shards cannot grant its last shard N x
     ``shard_timeout`` of cumulative slack.
+
+    **Checkpoint relay.**  Reaching a target means replaying the trace
+    prefix, a chain no amount of workers can split; if every worker
+    walked it alone, ``jobs`` workers would each replay up to their
+    deepest target.  So the prefix is walked once and shared: workers
+    publish every prefix checkpoint they freeze on a relay queue, and
+    the parent hands the nearest one it holds to each shard it
+    dispatches.  Shards go out deepest target first, one per free
+    worker; the first one's reach also freezes checkpoints at the
+    other pending targets on its way (its *waypoints*), and a shard
+    whose target a running shard has promised waits for that
+    checkpoint instead of walking the same prefix in parallel.  Only
+    wall time changes: every shard still starts from state identical
+    to a fresh manager's.
     """
 
     def __init__(
@@ -191,11 +247,17 @@ class LocalPoolTransport:
         self.shard_timeout = shard_timeout
         self.stats = TransportStats()
         self._context: TransportContext | None = None
+        #: The ``jobs=1`` inline worker's context (warm checkpoints).
+        self._inline: WorkerContext | None = None
         self._pool: multiprocessing.pool.Pool | None = None
+        self._relay: multiprocessing.queues.Queue[tuple] | None = None
+        #: Checkpoints the pool's workers published, per store.
+        self._relayed: dict[StoreKey, dict[int, Checkpoint]] = {}
 
     def prime(self, context: TransportContext) -> None:
         if self._context is None:
             self._context = context
+            self._inline = WorkerContext(context.trace, context.snapshot)
 
     def describe(self) -> str:
         return f"local pool ({self.jobs} job(s))"
@@ -205,18 +267,12 @@ class LocalPoolTransport:
     ) -> list[ShardOutcome]:
         if not tasks:
             return []
-        assert self._context is not None, "transport not primed"
-        trace, snapshot = self._context.trace, self._context.snapshot
+        assert self._inline is not None, "transport not primed"
         if self.jobs == 1:
-            return [
-                _execute_task(task, trace, snapshot)
-                for task in tasks
-            ]
+            return [_execute_task(task, self._inline) for task in tasks]
         pool = self._ensure_pool(len(tasks))
-        pending = [
-            (task, pool.apply_async(_pool_run_shard, (task,)))
-            for task in tasks
-        ]
+        relay = self._relay
+        assert relay is not None
         # Every task's deadline is absolute — measured from wave
         # submission, not from when the previous result happened to be
         # collected — so queue position no longer grants slack.
@@ -224,33 +280,94 @@ class LocalPoolTransport:
             time.monotonic() + self.shard_timeout
             if self.shard_timeout is not None else None
         )
-        outcomes: list[ShardOutcome] = []
-        hung = False
-        for task, handle in pending:
+        outcomes: dict[int, ShardOutcome] = {}
+        running: dict[int, multiprocessing.pool.AsyncResult] = {}
+        promised: dict[int, set[tuple[StoreKey, int]]] = {}
+        waiting = sorted(
+            range(len(tasks)), key=lambda i: -tasks[i].seed_index
+        )
+        while waiting or running:
+            for i in list(waiting):
+                if len(running) >= self.jobs:
+                    break
+                args = self._shard_args(tasks, i, waiting, promised)
+                if args is not None:
+                    waiting.remove(i)
+                    running[i] = pool.apply_async(
+                        _pool_run_shard, (i, *args)
+                    )
             try:
-                if deadline is None:
-                    outcomes.append(handle.get())
-                else:
-                    outcomes.append(handle.get(
-                        max(deadline - time.monotonic(), 0.0)
-                    ))
-            except multiprocessing.TimeoutError:
-                hung = True
-                outcomes.append(ShardOutcome(
-                    cell_index=task.cell_index,
-                    shard_index=task.shard_index,
-                    attempt=task.attempt,
-                    error=(
-                        "TimeoutError: shard exceeded "
-                        f"{self.shard_timeout}s"
-                    ),
+                message = relay.get(timeout=(
+                    None if deadline is None
+                    else max(deadline - time.monotonic(), 0.0)
                 ))
+            except queue.Empty:
+                break
+            if message[0] == "checkpoint":
+                _, key, index, checkpoint = message
+                known = self._relayed.setdefault(key, {})
+                if len(known) < MAX_PREFIX_CHECKPOINTS:
+                    known.setdefault(index, checkpoint)
+            else:
+                i = message[1]
+                promised.pop(i, None)
+                outcomes[i] = running.pop(i).get()
+        hung = bool(waiting or running)
+        for i in (*waiting, *running):
+            outcomes[i] = ShardOutcome(
+                cell_index=tasks[i].cell_index,
+                shard_index=tasks[i].shard_index,
+                attempt=tasks[i].attempt,
+                error=(
+                    "TimeoutError: shard exceeded "
+                    f"{self.shard_timeout}s"
+                ),
+            )
         if hung:
             # A worker past its deadline cannot be reclaimed and is
             # still squatting on a pool slot; replacing the pool also
             # guarantees the timed-out shard retries on a fresh worker.
             self._discard_pool()
-        return outcomes
+        return [outcomes[i] for i in range(len(tasks))]
+
+    def _shard_args(
+        self,
+        tasks: Sequence[ShardTask],
+        i: int,
+        waiting: list[int],
+        promised: dict[int, set[tuple[StoreKey, int]]],
+    ) -> tuple[ShardTask, tuple[int, Checkpoint] | None,
+               frozenset[int]] | None:
+        """Arguments dispatching ``tasks[i]`` (after the token), or
+        ``None`` while a running shard has promised its checkpoint.
+
+        Records what the shard in turn promises: a checkpoint at its
+        target and at each of its waypoints the parent lacks.
+        """
+        task = tasks[i]
+        if not task.fast_reset:
+            return task, None, frozenset()
+        key = (task.arch, task.collect_metrics)
+        known = self._relayed.get(key, {})
+        target = task.seed_index
+        if target not in known and any(
+            (key, target) in promise for promise in promised.values()
+        ):
+            return None
+        floor = max((k for k in known if k <= target), default=None)
+        waypoints = frozenset(
+            tasks[j].seed_index for j in waiting
+            if tasks[j].fast_reset
+            and (tasks[j].arch, tasks[j].collect_metrics) == key
+            and (floor or 0) < tasks[j].seed_index < target
+            and tasks[j].seed_index not in known
+        )
+        promised[i] = {
+            (key, index) for index in waypoints | {target}
+            if index not in known
+        }
+        start = None if floor is None else (floor, known[floor])
+        return task, start, waypoints
 
     def close(self) -> None:
         self._discard_pool()
@@ -264,11 +381,13 @@ class LocalPoolTransport:
             context = multiprocessing.get_context(
                 self._resolved_start_method()
             )
+            self._relay = context.Queue()
             self._pool = context.Pool(
                 processes=min(self.jobs, n_tasks),
                 initializer=_worker_init,
                 initargs=(
                     self._context.trace, self._context.snapshot,
+                    self._relay,
                 ),
             )
         return self._pool
@@ -283,6 +402,9 @@ class LocalPoolTransport:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
+            assert self._relay is not None
+            self._relay.close()
+            self._relay = None
 
     def _resolved_start_method(self) -> str:
         if self.start_method is not None:

@@ -39,10 +39,13 @@ import threading
 from dataclasses import dataclass
 
 from repro.campaign import wire
-from repro.core.seed import Trace
-from repro.core.snapshot import VmSnapshot
 from repro.errors import TransportProtocolError
-from repro.fuzz.parallel import ShardOutcome, ShardTask, _execute_task
+from repro.fuzz.parallel import (
+    ShardOutcome,
+    ShardTask,
+    WorkerContext,
+    _execute_task,
+)
 
 _CHAOS_KINDS = ("die-after-results", "drop-mid-result")
 
@@ -229,6 +232,9 @@ class WorkerServer:
                 f"session opened with {kind.name}, expected HELLO"
             )
         identity, trace, snapshot = wire.decode_hello(payload)
+        # One context per session: its prefix checkpoints stay warm
+        # across the session's tasks, which run one at a time.
+        context = WorkerContext(trace, snapshot)
         wire.send_frame(
             conn, wire.FrameKind.HELLO_ACK,
             wire.encode_hello_ack(os.getpid()),
@@ -250,17 +256,14 @@ class WorkerServer:
                 self.executed.append(
                     (task.cell_index, task.shard_index, task.attempt)
                 )
-            outcome = self._run_with_heartbeats(
-                conn, task, trace, snapshot
-            )
+            outcome = self._run_with_heartbeats(conn, task, context)
             self._send_result(conn, outcome)
 
     def _run_with_heartbeats(
         self,
         conn: socket.socket,
         task: ShardTask,
-        trace: Trace,
-        snapshot: VmSnapshot | None,
+        context: WorkerContext,
     ) -> ShardOutcome:
         """Execute on a side thread, heartbeating until it finishes."""
         box: dict[str, ShardOutcome] = {}
@@ -268,7 +271,7 @@ class WorkerServer:
 
         def runner() -> None:
             try:
-                box["outcome"] = _execute_task(task, trace, snapshot)
+                box["outcome"] = _execute_task(task, context)
             finally:
                 done.set()
 

@@ -409,6 +409,27 @@ class IrisManager:
             ),
         )
 
+    @classmethod
+    def cold_start(
+        cls, arch: str, *, fast_reset: bool,
+        snapshot: VmSnapshot | None,
+    ) -> "IrisManager":
+        """A fresh manager in ``snapshot``'s clock domain.
+
+        Timer deadlines in a snapshot (vpt.next_due, vlapic) are
+        absolute TSC values on the recording host's clock.  A fresh
+        hypervisor starts at TSC 0, which would push every restored
+        deadline unreachably far into the future and silence the
+        interrupt-injection paths replay legitimately exercises, so the
+        clock is fast-forwarded to the snapshot's TSC — a pure function
+        of the snapshot, so every cold start from it is identical.
+        """
+        manager = cls(arch=arch, fast_reset=fast_reset)
+        clock = manager.hv.clock
+        if snapshot is not None and snapshot.clock_tsc > clock.now:
+            clock.advance(snapshot.clock_tsc - clock.now)
+        return manager
+
     def submit_seed(self, seed: VMSeed) -> SeedReplayResult:
         """Submit one (possibly crafted/mutated) seed on demand."""
         if self.replayer is None:

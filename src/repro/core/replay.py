@@ -21,6 +21,7 @@ the *recorded* exit reason — no special routing needed.
 from __future__ import annotations
 
 import enum
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -191,8 +192,6 @@ class Replayer(NullHooks):
         override machinery replay the recorded exit over it."""
         if not OBS.metrics.enabled:
             return self._submit(seed)
-        import time
-
         wall_start = time.perf_counter_ns()
         result = self._submit(seed)
         metrics = OBS.metrics

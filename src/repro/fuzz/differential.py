@@ -379,16 +379,9 @@ class DifferentialOracle:
         self._baseline_untranslatable = False
         self._vmx_baseline_lines = frozenset(vmx_baseline_lines)
 
-        manager = IrisManager(arch="svm", fast_reset=False)
-        if (
-            from_snapshot is not None
-            and from_snapshot.clock_tsc > manager.hv.clock.now
-        ):
-            # Same clock-domain fast-forward run_shard performs for the
-            # primary: timer deadlines in the snapshot are absolute.
-            manager.hv.clock.advance(
-                from_snapshot.clock_tsc - manager.hv.clock.now
-            )
+        manager = IrisManager.cold_start(
+            "svm", fast_reset=False, snapshot=from_snapshot
+        )
         self._manager = manager
         replayer = manager.create_dummy_vm(from_snapshot=from_snapshot)
 

@@ -17,6 +17,7 @@ from repro.core.manager import IrisManager
 from repro.core.replay import ReplayOutcome
 from repro.core.snapshot import VmSnapshot, restore_snapshot, take_snapshot
 from repro.hypervisor.coverage import NOISE_FILES
+from repro.fuzz.checkpoints import PrefixCheckpoints, replay_prefix
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.differential import (
     MAX_DIVERGENCES_KEPT,
@@ -185,10 +186,11 @@ class IrisFuzzer:
 
     def __init__(
         self,
-        manager: IrisManager,
+        manager: IrisManager | None,
         rng: random.Random | None = None,
         fast_reset: bool = True,
         oracle: DifferentialOracle | None = None,
+        checkpoints: PrefixCheckpoints | None = None,
     ) -> None:
         """``fast_reset`` enables the delta-restore path in the
         crash-revert loop (every mutation there goes through tracked
@@ -197,11 +199,19 @@ class IrisFuzzer:
         the pre-fast-reset behavior the differential tests compare
         against.  ``oracle`` arms differential mode: every mutant is
         also replayed on a secondary SVM backend and the observable
-        behavior diffed into the result's ``divergences``."""
+        behavior diffed into the result's ``divergences``.
+
+        With a ``checkpoints`` store every test case starts on a
+        manager the store puts at the case's target prefix (replacing
+        :attr:`manager`, which may then start as ``None``); the
+        serial target-state cache is not used."""
+        if manager is None and checkpoints is None:
+            raise ValueError("need a manager or a checkpoint store")
         self.manager = manager
         self.rng = rng or random.Random(0xF022)
         self.fast_reset = fast_reset
         self.oracle = oracle
+        self.checkpoints = checkpoints
         self._target_state: _TargetState | None = None
 
     # ---- single test case ---------------------------------------------
@@ -212,16 +222,12 @@ class IrisFuzzer:
         from_snapshot: VmSnapshot | None,
     ) -> None:
         """Replay W until VMseed_R is reached (Fig. 11's first phase)."""
+        if self.checkpoints is not None:
+            self.manager = self.checkpoints.reach(case.seed_index)
+            return
+        assert self.manager is not None
         self.manager.create_dummy_vm(from_snapshot=from_snapshot)
-        assert self.manager.replayer is not None
-        prefix = case.trace.records[:case.seed_index]
-        for record in prefix:
-            result = self.manager.replayer.submit(record.seed)
-            if result.outcome is not ReplayOutcome.OK:
-                raise RuntimeError(
-                    "prefix replay crashed before reaching the target "
-                    f"state: {result.crash_reason}"
-                )
+        replay_prefix(self.manager, case.trace.records[:case.seed_index])
 
     def run_test_case(
         self,
@@ -271,10 +277,10 @@ class IrisFuzzer:
         from_snapshot: VmSnapshot | None = None,
     ) -> FuzzResult:
         manager = self.manager
-        hv = manager.hv
         cached = self._target_state if self.fast_reset else None
         if (
             cached is not None
+            and manager is not None
             and cached.matches(case, from_snapshot)
             and manager.replayer is not None
             and manager.dummy_vm is not None
@@ -282,6 +288,7 @@ class IrisFuzzer:
         ):
             # Fast-reset reuse: the dummy VM is stamped with this very
             # target state, so re-reaching it is one delta restore.
+            hv = manager.hv
             replayer = manager.replayer
             dummy = manager.dummy_vm
             restore_snapshot(hv, dummy, cached.state_r, fast=True)
@@ -296,9 +303,12 @@ class IrisFuzzer:
             baseline_lines = cached.baseline_lines
             state_r = cached.state_r
         else:
-            cycles_before = hv.clock.now
+            cycles_before = manager.hv.clock.now if manager else 0
             self._reach_target_state(case, from_snapshot)
-            assert manager.replayer is not None and manager.dummy_vm
+            manager = self.manager
+            assert manager is not None and manager.replayer is not None
+            assert manager.dummy_vm is not None
+            hv = manager.hv
             replayer = manager.replayer
             dummy = manager.dummy_vm
 
@@ -322,7 +332,7 @@ class IrisFuzzer:
                 state_r=state_r,
                 baseline_lines=baseline_lines,
                 reach_cycles=hv.clock.now - cycles_before,
-            ) if self.fast_reset else None
+            ) if self.fast_reset and self.checkpoints is None else None
 
         divergences: list[DivergenceRecord] = []
         if self.oracle is not None:

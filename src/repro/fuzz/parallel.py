@@ -12,9 +12,14 @@ trustworthy if it stays bit-for-bit deterministic.
 The determinism contract
 ------------------------
 
-* Every shard runs in a **fresh** :class:`IrisManager` (fresh simulated
-  hypervisor, clock at zero, empty log), so nothing about the host
-  process, prior shards, or scheduling leaks into a shard's outcome.
+* Every shard starts from state **identical to a fresh**
+  :class:`IrisManager`'s (fresh simulated hypervisor, clock in the
+  snapshot's domain, empty log), so nothing about the host process,
+  prior shards, or scheduling leaks into a shard's outcome.  A warm
+  worker gets there by cloning a prefix checkpoint
+  (:mod:`repro.fuzz.checkpoints`) instead of re-replaying the trace
+  from seed 0; the clone, its carried metrics included, is exactly
+  what a cold start would have built.
 * Each shard's ``random.Random`` seed is derived from
   ``(campaign_seed, cell_index, shard_index)`` via
   :func:`derive_shard_seed` — never from worker identity or wall time.
@@ -57,9 +62,9 @@ and torn down only on campaign exit or a shard hang.  Passing
 the engine: shards are hermetic, so the merged result is byte-identical
 across transports — the property the transport differential tests pin.
 
-Worker identity cannot leak into results — every shard builds a fresh
-:class:`IrisManager` from the shipped context — so re-running a retry
-on the worker that reported the original fault is safe, as is
+Worker identity cannot leak into results — every shard starts from
+fresh-manager state built from the shipped context — so re-running a
+retry on the worker that reported the original fault is safe, as is
 reassigning a shard from a dead remote worker to a surviving one.
 """
 
@@ -75,8 +80,11 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 if TYPE_CHECKING:  # circular at runtime: transport imports this module
     from repro.campaign.transport import WorkerTransport
 
+from repro.core.manager import IrisManager
 from repro.core.seed import Trace
 from repro.core.snapshot import VmSnapshot
+from repro.core.tracestore import TraceLike
+from repro.fuzz.checkpoints import Checkpoint, PrefixCheckpoints
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.fuzzer import FuzzResult, IrisFuzzer
 from repro.fuzz.mutations import MutationArea
@@ -84,6 +92,7 @@ from repro.fuzz.testcase import FuzzTestCase
 from repro.hypervisor.coverage import CoverageMap
 from repro.obs import (
     NULL_TRACER,
+    OBS,
     MetricsRegistry,
     MetricsSnapshot,
     observability,
@@ -348,26 +357,34 @@ class InjectedWorkerFault(RuntimeError):
 
 
 def run_shard(
-    task: ShardTask, trace: Trace, snapshot: VmSnapshot | None
+    task: ShardTask,
+    trace: TraceLike,
+    snapshot: VmSnapshot | None,
+    checkpoints: PrefixCheckpoints | None = None,
 ) -> FuzzResult:
-    """Run one shard hermetically: fresh manager, shard-derived RNG.
+    """Run one shard hermetically: cold-start state, shard-derived RNG.
 
     This is the pure function the determinism contract is about — its
     output depends only on its arguments, never on which process (or
-    how many siblings) it runs in.
+    how many siblings) it runs in.  ``checkpoints`` (a store over the
+    same trace, snapshot and arch) lets a ``fast_reset`` shard reach
+    its target from a warm prefix checkpoint instead of replaying the
+    whole prefix; the result and metrics are those of a cold start.
+    ``fast_reset=False`` shards always cold-start: they are the
+    reference the fast-reset differential tests compare against.
     """
-    from repro.core.manager import IrisManager
-
-    manager = IrisManager(arch=task.arch, fast_reset=task.fast_reset)
-    if snapshot is not None and snapshot.clock_tsc > manager.hv.clock.now:
-        # Timer deadlines in the snapshot (vpt.next_due, vlapic) are
-        # absolute TSC values on the recording host's clock.  A fresh
-        # hypervisor starts at TSC 0, which would push every restored
-        # deadline unreachably far into the future and silence the
-        # interrupt-injection paths replay legitimately exercises.
-        # Fast-forward into the snapshot's clock domain — a pure
-        # function of the snapshot, so shards stay deterministic.
-        manager.hv.clock.advance(snapshot.clock_tsc - manager.hv.clock.now)
+    warm = checkpoints if task.fast_reset else None
+    if warm is not None and (
+        warm.trace is not trace or warm.snapshot is not snapshot
+        or warm.arch != task.arch
+    ):
+        raise ValueError(
+            "checkpoint store does not match the shard's trace, "
+            "snapshot and arch"
+        )
+    manager = None if warm is not None else IrisManager.cold_start(
+        task.arch, fast_reset=task.fast_reset, snapshot=snapshot
+    )
     oracle = None
     if task.differential:
         from repro.fuzz.differential import DifferentialOracle
@@ -375,7 +392,7 @@ def run_shard(
         oracle = DifferentialOracle()
     fuzzer = IrisFuzzer(
         manager, rng=random.Random(task.rng_seed),
-        fast_reset=task.fast_reset, oracle=oracle,
+        fast_reset=task.fast_reset, oracle=oracle, checkpoints=warm,
     )
     case = FuzzTestCase(
         trace=trace,
@@ -388,9 +405,50 @@ def run_shard(
     return fuzzer.run_test_case(case, from_snapshot=snapshot)
 
 
-def _execute_task(
-    task: ShardTask, trace: Trace, snapshot: VmSnapshot | None
-) -> ShardOutcome:
+#: Which store of a worker context a shard uses: (arch, whether its
+#: reach runs under an enabled metrics registry).
+StoreKey = tuple[str, bool]
+
+
+class WorkerContext:
+    """A worker's primed campaign context and its warm state.
+
+    The (trace, snapshot) every shard replays from, plus one
+    :class:`PrefixCheckpoints` store per :data:`StoreKey`, created on
+    first use.  One context per pool worker, socket session and inline
+    transport; shards sharing a context run one at a time.
+    ``publish`` (pool workers only) is handed every checkpoint the
+    context's stores freeze, with the store's key.
+    """
+
+    def __init__(
+        self,
+        trace: TraceLike,
+        snapshot: VmSnapshot | None,
+        publish: Callable[[StoreKey, int, Checkpoint], None] | None = None,
+    ) -> None:
+        self.trace = trace
+        self.snapshot = snapshot
+        self.publish = publish
+        self._checkpoints: dict[StoreKey, PrefixCheckpoints] = {}
+
+    def checkpoints(self, arch: str, metrics: bool) -> PrefixCheckpoints:
+        key = (arch, metrics)
+        store = self._checkpoints.get(key)
+        if store is None:
+            publish = self.publish
+            store = self._checkpoints[key] = PrefixCheckpoints(
+                self.trace, self.snapshot, arch, metrics=metrics,
+                publish=None if publish is None else (
+                    lambda index, checkpoint: publish(
+                        key, index, checkpoint
+                    )
+                ),
+            )
+        return store
+
+
+def _execute_task(task: ShardTask, context: WorkerContext) -> ShardOutcome:
     """Run a task, converting any worker-side death into an outcome."""
     import os
     import traceback
@@ -404,6 +462,12 @@ def _execute_task(
             )
         if task.fault_kind == "hang":
             time.sleep(3600)
+        store = None
+        if task.fast_reset:
+            store = context.checkpoints(
+                task.arch, task.collect_metrics or OBS.metrics.enabled
+            )
+        args = (task, context.trace, context.snapshot, store)
         metrics_snapshot = None
         if task.collect_metrics:
             # Hermetic capture: a fresh wall-clock-free registry (and a
@@ -412,10 +476,10 @@ def _execute_task(
             # identically for any ``jobs`` value.
             registry = MetricsRegistry(record_wall=False)
             with observability(tracer=NULL_TRACER, metrics=registry):
-                result = run_shard(task, trace, snapshot)
+                result = run_shard(*args)
             metrics_snapshot = registry.snapshot()
         else:
-            result = run_shard(task, trace, snapshot)
+            result = run_shard(*args)
         return ShardOutcome(
             cell_index=task.cell_index,
             shard_index=task.shard_index,

@@ -20,6 +20,15 @@ class Clock:
     costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
     now: int = 0
 
+    def read(self) -> int:
+        """The current TSC, free of charge (log and trace timestamps).
+
+        A bound method rather than a closure so it can be handed out as
+        a timestamp source: a deep-copied host rebinds it to the copy's
+        own clock, where a lambda would keep reading the original's.
+        """
+        return self.now
+
     def advance(self, cycles: int) -> None:
         if cycles < 0:
             raise ValueError("the TSC cannot move backwards")

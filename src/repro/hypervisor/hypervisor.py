@@ -65,10 +65,10 @@ class Hypervisor:
         self.backend = get_backend(arch)
         self.clock = Clock(costs=costs or DEFAULT_COSTS)
         self.log = XenLog()
-        self.log.bind_clock(lambda: self.clock.now)
+        self.log.bind_clock(self.clock.read)
         if OBS.tracer.enabled:
             # Trace timestamps are this host's simulated TSC.
-            OBS.tracer.bind_clock(lambda: self.clock.now)
+            OBS.tracer.bind_clock(self.clock.read)
         self.handler_table = handler_table or build_handler_table()
         self.hypercalls = HypercallRouter()
         self.domains: dict[int, Domain] = {}

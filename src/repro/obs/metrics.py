@@ -125,6 +125,21 @@ class _Histogram:
         index = bucket_of(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
+    def absorb(self, other: HistogramSnapshot) -> None:
+        """In-place :meth:`HistogramSnapshot.merge`."""
+        self.count += other.count
+        self.total += other.total
+        if other.min is not None and (
+            self.min is None or other.min < self.min
+        ):
+            self.min = other.min
+        if other.max is not None and (
+            self.max is None or other.max > self.max
+        ):
+            self.max = other.max
+        for index, count in other.buckets:
+            self.buckets[index] = self.buckets.get(index, 0) + count
+
     def snapshot(self) -> HistogramSnapshot:
         return HistogramSnapshot(
             count=self.count, total=self.total,
@@ -315,6 +330,21 @@ class MetricsRegistry:
         if self.record_wall:
             self.observe(name, value, **labels)
 
+    def absorb(self, snapshot: MetricsSnapshot) -> None:
+        """Add a snapshot into this registry (the merge, in place).
+
+        ``registry.absorb(s)`` then ``registry.snapshot()`` equals
+        ``registry.snapshot().merge(s)`` — how a warm shard folds in
+        the carried metrics of the prefix replay it skipped.
+        """
+        for key, value in snapshot.counters:
+            self._counters[key] = self._counters.get(key, 0) + value
+        for key, other in snapshot.histograms:
+            hist = self._histograms.get(key)
+            if hist is None:
+                hist = self._histograms[key] = _Histogram()
+            hist.absorb(other)
+
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot.build(
             dict(self._counters),
@@ -346,6 +376,9 @@ class NullMetrics:
     def observe_wall(
         self, name: str, value: int, **labels: object
     ) -> None:
+        return None
+
+    def absorb(self, snapshot: MetricsSnapshot) -> None:
         return None
 
     def snapshot(self) -> MetricsSnapshot:

@@ -1,9 +1,12 @@
 """Unit tests for the console log and the simulated clock."""
 
+import copy
+
 import pytest
 
 from repro.errors import HypervisorCrash
 from repro.hypervisor.clock import Clock
+from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.xenlog import LogLevel, XenLog
 
 
@@ -90,3 +93,15 @@ class TestClock:
         clock = Clock()
         value = clock.rdtsc()
         assert value == clock.costs.cost("rdtsc_probe")
+
+
+def test_cloned_host_log_stamps_the_clones_tsc():
+    """A deep-copied hypervisor's console ring reads its *own* clock
+    (a lambda timestamp source would keep reading the original's)."""
+    hv = Hypervisor()
+    clone = copy.deepcopy(hv, {id(hv.clock.costs): hv.clock.costs})
+    clone.clock.advance(12_345)
+    clone.log.printk("on the clone")
+    hv.log.printk("on the original")
+    assert clone.log.tail(1) == ["(XEN) t=12345 on the clone"]
+    assert hv.log.tail(1) == ["(XEN) t=0 on the original"]

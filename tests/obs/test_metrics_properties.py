@@ -153,3 +153,15 @@ def test_json_is_canonical(a, b):
     if a == b:
         assert a.to_json() == b.to_json()
     assert a.merge(b).to_json() == b.merge(a).to_json()
+
+
+@settings(max_examples=200)
+@given(snapshots(), snapshots())
+def test_absorb_is_the_merge_in_place(a, b):
+    """Folding a snapshot into a live registry lands exactly on the
+    merge — how a warm shard adds the carried prefix metrics."""
+    registry = MetricsRegistry(record_wall=False)
+    registry.absorb(a)
+    assert registry.snapshot() == a
+    registry.absorb(b)
+    assert registry.snapshot() == a.merge(b)
