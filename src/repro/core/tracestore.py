@@ -32,7 +32,7 @@ Two entry points:
   batch is encoded and written through buffered I/O, so recording
   memory is O(flush batch), not O(trace) (the index rides along at 18
   bytes/record).  :class:`~repro.core.record.Recorder` uses it for
-  spool mode (``iris record --spool``).
+  spool mode (``iris record``).
 * :class:`TraceReader` — the lazy consumer.  The file is mmapped once;
   ``len()``, ``reasons()`` and ``reason_histogram()`` are answered
   from the footer index without touching a single payload byte (the

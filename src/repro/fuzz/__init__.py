@@ -35,10 +35,6 @@ from repro.fuzz.differential import (
     triage_divergences,
 )
 from repro.fuzz.fuzzer import IrisFuzzer, FuzzResult
-from repro.fuzz.coverage_guided import (
-    CoverageGuidedFuzzer,
-    GuidedCampaignReport,
-)
 from repro.fuzz.triage import (
     CrashBucket,
     TriageReport,
@@ -73,8 +69,6 @@ __all__ = [
     "derive_shard_seed",
     "run_parallel_campaign",
     "split_mutations",
-    "CoverageGuidedFuzzer",
-    "GuidedCampaignReport",
     "CrashBucket",
     "TriageReport",
     "crash_signature",

@@ -15,11 +15,13 @@ import sys
 from repro.analysis import render_table
 from repro.arch.backend import BACKEND_NAMES
 from repro.core.manager import IrisManager
-from repro.fuzz.fuzzer import IrisFuzzer
+from repro.errors import CampaignStoreError, StoreMismatchError
 from repro.fuzz.mutation_engine import ENGINE_NAMES
 from repro.fuzz.mutations import MUTATION_RULES, MutationArea
+from repro.fuzz.parallel import ParallelCampaign
 from repro.fuzz.testcase import plan_test_cases
 from repro.guest.workloads import WorkloadName
+from repro.obs import flight_summary
 from repro.obs.cliobs import add_obs_options, cli_observability
 from repro.vmx.exit_reasons import ExitReason
 
@@ -105,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "-j", "--jobs", type=int, default=1,
-        help="worker processes for the campaign; 1 (default) keeps "
-             "the classic serial path.  Results are independent of "
+        help="worker processes for the campaign (default 1: shards "
+             "run inline).  Results are independent of "
              "the worker count: each cell's RNG is derived from "
              "(campaign seed, cell index), so --jobs only changes "
              "wall-clock time.",
@@ -181,7 +183,7 @@ def _restore_stored_args(args: argparse.Namespace) -> bool | None:
     ``collect_metrics`` flag.
     """
     from repro.campaign import CampaignStore
-    from repro.errors import CorruptStoreError, StoreMismatchError
+    from repro.errors import CorruptStoreError
 
     with CampaignStore(args.store) as probe:
         if not probe.initialized:
@@ -276,8 +278,6 @@ def main(argv: list[str] | None = None) -> int:
 
     stored_collect_metrics: bool | None = None
     if args.resume:
-        from repro.errors import CampaignStoreError, StoreMismatchError
-
         try:
             stored_collect_metrics = _restore_stored_args(args)
         except StoreMismatchError as exc:
@@ -298,7 +298,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     if args.rule is None:
         args.rule = "bit-flip"
-    rng = random.Random(args.seed)
 
     reasons = []
     for name in args.reasons.split(","):
@@ -315,14 +314,19 @@ def main(argv: list[str] | None = None) -> int:
         "both": (MutationArea.VMCS, MutationArea.GPR),
     }[args.area]
 
+    from repro.campaign import (
+        CampaignController,
+        CampaignInterrupted,
+        CampaignStore,
+    )
+
     with cli_observability(args) as obs:
-        manager = IrisManager(arch=args.arch, fast_reset=args.fast_reset)
         precondition = (
             "bios" if args.workload in ("os-boot", "full-boot")
             else "boot"
         )
         print(f"recording {args.exits} exits of {args.workload}...")
-        session = manager.record_workload(
+        session = IrisManager(arch=args.arch).record_workload(
             args.workload, n_exits=args.exits,
             precondition=precondition,
         )
@@ -335,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         cases = plan_test_cases(
             session.trace, reasons, areas=areas,
-            n_mutations=args.mutations, rng=rng,
+            n_mutations=args.mutations, rng=random.Random(args.seed),
             engine=args.engine,
         )
         if not cases:
@@ -347,137 +351,103 @@ def main(argv: list[str] | None = None) -> int:
             if case.mutation_rule != args.rule:
                 object.__setattr__(case, "mutation_rule", args.rule)
 
-        campaign_stats = None
-        campaign_metrics = None
-        # Observability and persistence always go through the campaign
-        # engine, even at --jobs 1: shards run hermetically there, so
-        # the merged metrics snapshot is identical for every worker
-        # count (the jobs-invariance the golden tests pin) and wave
-        # checkpoints are well-defined.  Without obs or a store, jobs=1
-        # keeps the classic serial path.
-        use_campaign = (
-            args.jobs > 1 or args.shards_per_cell > 1
-            or obs is not None or args.store is not None
-            or args.wave_size > 1 or bool(worker_addresses)
-            or args.differential
+        def report(event):
+            kind, payload = event
+            if kind == "shard-completed":
+                case = cases[payload.cell_index]
+                print(
+                    f"  [{payload.cell_index + 1}/{len(cases)}] "
+                    f"{case.exit_reason.name}/{case.area.value} "
+                    f"shard {payload.shard_index}: "
+                    f"{payload.mutations_run} mutations in "
+                    f"{payload.duration_seconds:.2f}s "
+                    f"({payload.mutations_per_second:.0f} mut/s)"
+                )
+            else:
+                print(f"  !! {kind}: {payload.describe()}")
+
+        # Every run goes through the campaign engine, at any --jobs:
+        # shards are hermetic and seeded per cell, so neither the
+        # worker count nor observability can change a result.
+        collect_metrics = (
+            stored_collect_metrics
+            if stored_collect_metrics is not None
+            else obs is not None and obs.wants_metrics
         )
-        if use_campaign:
-            from repro.campaign import (
-                CampaignController,
-                CampaignInterrupted,
-                CampaignStore,
-            )
-            from repro.errors import (
-                CampaignStoreError,
-                StoreMismatchError,
-            )
-            from repro.fuzz.parallel import ParallelCampaign
+        transport = None
+        if worker_addresses:
+            from repro.campaign import SocketTransport
 
-            def report(event):
-                kind, payload = event
-                if kind == "shard-completed":
-                    case = cases[payload.cell_index]
-                    print(
-                        f"  [{payload.cell_index + 1}/{len(cases)}] "
-                        f"{case.exit_reason.name}/{case.area.value} "
-                        f"shard {payload.shard_index}: "
-                        f"{payload.mutations_run} mutations in "
-                        f"{payload.duration_seconds:.2f}s "
-                        f"({payload.mutations_per_second:.0f} mut/s)"
-                    )
-                else:
-                    print(f"  !! {kind}: {payload.describe()}")
-
-            collect_metrics = (
-                stored_collect_metrics
-                if stored_collect_metrics is not None
-                else obs is not None and obs.wants_metrics
+            transport = SocketTransport(worker_addresses)
+            print(
+                f"waves run on {transport.describe()} "
+                "(results identical to a local run)"
             )
-            transport = None
-            if worker_addresses:
-                from repro.campaign import SocketTransport
-
-                transport = SocketTransport(worker_addresses)
-                print(
-                    f"waves run on {transport.describe()} "
-                    "(results identical to a local run)"
-                )
-            engine = ParallelCampaign(
-                session.trace, session.snapshot, cases,
-                campaign_seed=args.seed, jobs=args.jobs,
-                shards_per_cell=args.shards_per_cell, on_event=report,
-                arch=args.arch,
-                collect_metrics=collect_metrics,
-                fast_reset=args.fast_reset,
-                differential=args.differential,
-                transport=transport,
+        engine = ParallelCampaign(
+            session.trace, session.snapshot, cases,
+            campaign_seed=args.seed, jobs=args.jobs,
+            shards_per_cell=args.shards_per_cell, on_event=report,
+            arch=args.arch,
+            collect_metrics=collect_metrics,
+            fast_reset=args.fast_reset,
+            differential=args.differential,
+            transport=transport,
+        )
+        store = (
+            CampaignStore(args.store)
+            if args.store is not None else None
+        )
+        controller = CampaignController(
+            engine, store,
+            wave_size=args.wave_size,
+            config_extra=(
+                ("area", args.area),
+                ("exits", str(args.exits)),
+                ("mutations", str(args.mutations)),
+                ("reasons", ",".join(r.name for r in reasons)),
+                ("rule", args.rule),
+                ("seed", str(args.seed)),
+                ("workload", args.workload),
+            ),
+            crash_after_wave=args.crash_after_wave,
+        )
+        try:
+            outcome = controller.run(resume=args.resume)
+        except CampaignInterrupted as exc:
+            print(
+                f"campaign status: aborted — {exc}; completed "
+                f"waves are saved, continue with "
+                f"--store {args.store} --resume"
             )
-            store = (
-                CampaignStore(args.store)
-                if args.store is not None else None
+            return EXIT_ABORTED
+        except StoreMismatchError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_USAGE
+        except CampaignStoreError as exc:
+            print(
+                f"campaign status: aborted — {exc}",
+                file=sys.stderr,
             )
-            controller = CampaignController(
-                engine, store,
-                wave_size=args.wave_size,
-                config_extra=(
-                    ("area", args.area),
-                    ("exits", str(args.exits)),
-                    ("mutations", str(args.mutations)),
-                    ("reasons", ",".join(r.name for r in reasons)),
-                    ("rule", args.rule),
-                    ("seed", str(args.seed)),
-                    ("workload", args.workload),
-                ),
-                crash_after_wave=args.crash_after_wave,
+            return EXIT_ABORTED
+        finally:
+            if store is not None:
+                store.close()
+        if outcome.waves_resumed:
+            print(
+                f"resumed: {outcome.waves_resumed}/"
+                f"{outcome.waves_total} wave(s) restored from "
+                f"{args.store}"
             )
-            try:
-                outcome = controller.run(resume=args.resume)
-            except CampaignInterrupted as exc:
-                print(
-                    f"campaign status: aborted — {exc}; completed "
-                    f"waves are saved, continue with "
-                    f"--store {args.store} --resume"
-                )
-                return EXIT_ABORTED
-            except StoreMismatchError as exc:
-                print(str(exc), file=sys.stderr)
-                return EXIT_USAGE
-            except CampaignStoreError as exc:
-                print(
-                    f"campaign status: aborted — {exc}",
-                    file=sys.stderr,
-                )
-                return EXIT_ABORTED
-            finally:
-                if store is not None:
-                    store.close()
-            if outcome.waves_resumed:
-                print(
-                    f"resumed: {outcome.waves_resumed}/"
-                    f"{outcome.waves_total} wave(s) restored from "
-                    f"{args.store}"
-                )
-            campaign_stats = outcome.stats
-            campaign_metrics = outcome.metrics
-            results = outcome.results
-            if obs is not None:
-                obs.add_snapshot(outcome.metrics)
-            for cell_index in outcome.abandoned_cells:
-                case = cases[cell_index]
-                print(
-                    f"cell {case.exit_reason.name}/{case.area.value} "
-                    "abandoned after retry — excluded from the table",
-                    file=sys.stderr,
-                )
-        else:
-            fuzzer = IrisFuzzer(manager, rng=rng,
-                                fast_reset=args.fast_reset)
-            results = [
-                fuzzer.run_test_case(
-                    case, from_snapshot=session.snapshot
-                )
-                for case in cases
-            ]
+        results = outcome.results
+        if obs is not None:
+            obs.add_snapshot(outcome.metrics)
+        for cell_index in outcome.abandoned_cells:
+            case = cases[cell_index]
+            print(
+                f"cell {case.exit_reason.name}/{case.area.value} "
+                "abandoned after retry — excluded from the table",
+                file=sys.stderr,
+            )
 
     rows = []
     total_crashes = 0
@@ -504,13 +474,11 @@ def main(argv: list[str] | None = None) -> int:
                  else ")"),
     ))
     print(f"total failures observed: {total_crashes}")
-    if campaign_stats is not None:
-        print(f"campaign stats: {campaign_stats.describe()}")
-    if campaign_metrics is not None:
-        from repro.obs import flight_summary
-
+    print(f"campaign stats: {outcome.stats.describe()}")
+    if obs is not None and obs.wants_metrics:
+        # The whole run's counters: the recording beside the shards'.
         print()
-        print(flight_summary(campaign_metrics))
+        print(flight_summary(obs.final_snapshot()))
     if obs is not None:
         if obs.metrics_path:
             print(f"metrics snapshot -> {obs.metrics_path}")

@@ -45,7 +45,7 @@ from repro.core.seed import VMSeed
 from repro.core.snapshot import VmSnapshot, restore_snapshot, take_snapshot
 from repro.fuzz.testcase import FuzzTestCase
 from repro.fuzz.triage import _NORMALIZERS
-from repro.hypervisor.coverage import NOISE_FILES
+from repro.hypervisor.coverage import denoise
 from repro.svm.translate import (
     ROUND_TRIP_FIELDS,
     translate_seed,
@@ -286,12 +286,6 @@ def normalize_seed(seed: VMSeed) -> VMSeed | None:
     return translate_seed_back(svm_seed)
 
 
-def _denoise(
-    lines: frozenset[tuple[str, int]]
-) -> frozenset[tuple[str, int]]:
-    return frozenset(t for t in lines if t[0] not in NOISE_FILES)
-
-
 def _echo_set(
     result: SeedReplayResult,
 ) -> frozenset[tuple[ArchField, int]]:
@@ -418,7 +412,7 @@ class DifferentialOracle:
                 f"{baseline.crash_reason}",
                 svm_outcome=baseline.outcome.value,
             )
-        self._baseline_lines = _denoise(baseline.coverage_lines)
+        self._baseline_lines = denoise(baseline.coverage_lines)
         assert manager.dummy_vm is not None
         self._state_r = take_snapshot(manager.hv, manager.dummy_vm)
         self._enabled = True
@@ -520,11 +514,11 @@ class DifferentialOracle:
                 ),
             )
         vmx_delta = (
-            _denoise(vmx_result.coverage_lines)
+            denoise(vmx_result.coverage_lines)
             - self._vmx_baseline_lines
         )
         svm_delta = (
-            _denoise(svm_result.coverage_lines) - self._baseline_lines
+            denoise(svm_result.coverage_lines) - self._baseline_lines
         )
         if vmx_delta != svm_delta:
             return DivergenceRecord(

@@ -516,22 +516,18 @@ class SmartEngine(MutationEngine):
     #: so which entries are kept is too).
     MAX_QUEUE = 256
 
+    #: Most PoC primitives one havoc mutant stacks.
+    MAX_HAVOC_STACK = 3
+
+    #: Energy per selected queue entry (DESIGN.md §13).
+    SCHEDULE = PowerSchedule()
+
     _HAVOC_OPS = (bit_flip, byte_flip, arithmetic_mutation)
 
-    def __init__(
-        self,
-        case: "FuzzTestCase",
-        arch: str = "vmx",
-        schedule: PowerSchedule | None = None,
-        max_havoc_stack: int = 3,
-    ) -> None:
-        if max_havoc_stack < 1:
-            raise ValueError("max_havoc_stack must be >= 1")
+    def __init__(self, case: "FuzzTestCase", arch: str = "vmx") -> None:
         self.area = case.area
         self.reason = case.exit_reason
         self.arch = arch
-        self.schedule = schedule or PowerSchedule()
-        self.max_havoc_stack = max_havoc_stack
         # The automatic harvest: every recorded seed's constants,
         # keyed per slot.  Corpus finds feed in via ``feedback``.
         self.dictionary = SeedDictionary.harvest(
@@ -563,7 +559,7 @@ class SmartEngine(MutationEngine):
         """Pick the next queue entry: energy-weighted, recency-boosted."""
         weights = [
             float(
-                self.schedule.energy(e.new_loc, e.cost_cycles)
+                self.SCHEDULE.energy(e.new_loc, e.cost_cycles)
                 * (1 + index)
             )
             for index, e in enumerate(self.queue)
@@ -579,7 +575,7 @@ class SmartEngine(MutationEngine):
     def next_mutant(self, rng: random.Random) -> VMSeed:
         if self._energy <= 0:
             self._current = self._select(rng)
-            self._energy = self.schedule.energy(
+            self._energy = self.SCHEDULE.energy(
                 self._current.new_loc, self._current.cost_cycles
             )
         self._energy -= 1
@@ -628,7 +624,7 @@ class SmartEngine(MutationEngine):
         """A stack of 1..N PoC primitives — always applicable, so the
         other stages fall back here when they have nothing to bite."""
         mutant = seed
-        for _ in range(rng.randint(1, self.max_havoc_stack)):
+        for _ in range(rng.randint(1, self.MAX_HAVOC_STACK)):
             op = rng.choice(self._HAVOC_OPS)
             mutant = op(mutant, self.area, rng)
         return mutant
@@ -741,18 +737,14 @@ class SmartEngine(MutationEngine):
 
 
 def build_engine(
-    case: "FuzzTestCase",
-    arch: str = "vmx",
-    max_havoc_stack: int = 3,
+    case: "FuzzTestCase", arch: str = "vmx"
 ) -> MutationEngine:
     """The engine a test case asked for (``case.engine``)."""
     name = getattr(case, "engine", "poc")
     if name == "poc":
         return PocEngine(case)
     if name == "smart":
-        return SmartEngine(
-            case, arch=arch, max_havoc_stack=max_havoc_stack
-        )
+        return SmartEngine(case, arch=arch)
     raise ValueError(
         f"unknown mutation engine {name!r} "
         f"(expected one of {', '.join(ENGINE_NAMES)})"

@@ -66,6 +66,18 @@ NOISE_FILES: frozenset[str] = frozenset({
 })
 
 
+def denoise(
+    lines: frozenset[tuple[str, int]]
+) -> frozenset[tuple[str, int]]:
+    """Drop :data:`NOISE_FILES` lines from a coverage set.
+
+    Returns a frozenset so the fuzzer's per-mutation loop can hand the
+    result straight to :meth:`repro.fuzz.corpus.Corpus.consider`
+    without another copy.
+    """
+    return frozenset(t for t in lines if t[0] not in NOISE_FILES)
+
+
 def _iter_bits(bits: int) -> Iterator[int]:
     """Yield the set-bit positions of ``bits`` in ascending order."""
     while bits:

@@ -635,7 +635,7 @@ class TestSpoolCli:
         trace_file = str(tmp_path / "t.iris2")
         assert main([
             "record", "-w", "cpu-bound", "-n", "30",
-            "-p", "none", "-o", trace_file, "--spool",
+            "-p", "none", "-o", trace_file,
         ]) == 0
         assert "recorded 30 exits" in capsys.readouterr().out
         with open(trace_file, "rb") as fh:
@@ -648,21 +648,6 @@ class TestSpoolCli:
         # A spooled file replays like any other trace.
         assert main(["replay", trace_file]) == 0
         assert "replayed 30/30" in capsys.readouterr().out
-
-    def test_spool_and_plain_record_same_behavior(self, tmp_path,
-                                                  capsys):
-        from repro.core.cli import main
-
-        plain = str(tmp_path / "plain.iris")
-        spooled = str(tmp_path / "spooled.iris2")
-        assert main(["record", "-w", "cpu-bound", "-n", "25",
-                     "-p", "none", "-o", plain]) == 0
-        assert main(["record", "-w", "cpu-bound", "-n", "25",
-                     "-p", "none", "-o", spooled, "--spool"]) == 0
-        capsys.readouterr()
-        a = Trace.load(plain)
-        b = Trace.load(spooled)
-        assert a.records == b.records
 
     def test_fuzz_trace_out_streams_campaign_input(self, tmp_path,
                                                    capsys):

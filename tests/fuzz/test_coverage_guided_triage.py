@@ -1,16 +1,18 @@
-"""Tests for the coverage-guided fuzzer and crash triage extensions."""
+"""Tests for coverage-guided fuzzing (``IrisFuzzer`` driving the smart
+engine) and the crash triage extension."""
 
 import random
 
 import pytest
 
-from repro.fuzz.coverage_guided import CoverageGuidedFuzzer
 from repro.fuzz.failures import FailureKind, FailureRecord
 from repro.fuzz.fuzzer import IrisFuzzer
 from repro.fuzz.mutations import MutationArea
 from repro.fuzz.testcase import FuzzTestCase, plan_test_cases
 from repro.fuzz.triage import crash_signature, triage
 from repro.core.seed import VMSeed
+from repro.obs import observability
+from repro.obs.metrics import MetricsRegistry
 from repro.vmx.exit_reasons import ExitReason
 
 
@@ -25,68 +27,49 @@ def guided_case(cpu_session):
     return manager, session, cases[0]
 
 
+def run_guided(guided_case, seed, budget, engine="smart"):
+    """One test case of ``budget`` mutants from the target state."""
+    manager, session, case = guided_case
+    return IrisFuzzer(manager, rng=random.Random(seed)).run_test_case(
+        FuzzTestCase(
+            trace=case.trace, seed_index=case.seed_index,
+            area=case.area, n_mutations=budget, engine=engine,
+        ),
+        from_snapshot=session.snapshot,
+    )
+
+
 class TestCoverageGuided:
     def test_campaign_runs_to_budget(self, guided_case):
-        manager, session, case = guided_case
-        fuzzer = CoverageGuidedFuzzer(manager,
-                                      rng=random.Random(21))
-        report = fuzzer.run_campaign(
-            case, iterations=150, from_snapshot=session.snapshot
-        )
-        assert report.executions == 150
-        assert len(report.coverage_curve) == 150
-
-    def test_coverage_curve_monotonic(self, guided_case):
-        manager, session, case = guided_case
-        fuzzer = CoverageGuidedFuzzer(manager,
-                                      rng=random.Random(22))
-        report = fuzzer.run_campaign(
-            case, iterations=100, from_snapshot=session.snapshot
-        )
-        assert report.coverage_curve == \
-            sorted(report.coverage_curve)
-        assert report.coverage_curve[-1] == report.total_new_loc
+        result = run_guided(guided_case, seed=21, budget=150)
+        assert result.mutations_run == 150
 
     def test_queue_grows_with_discoveries(self, guided_case):
-        manager, session, case = guided_case
-        fuzzer = CoverageGuidedFuzzer(manager,
-                                      rng=random.Random(23))
-        report = fuzzer.run_campaign(
-            case, iterations=150, from_snapshot=session.snapshot
+        # Splice draws a queue partner, so it only fires once a
+        # discovery has joined the engine's queue.
+        metrics = MetricsRegistry()
+        with observability(metrics=metrics):
+            result = run_guided(guided_case, seed=23, budget=150)
+        stages = metrics.snapshot().counters_by_label(
+            "fuzz_stage_mutants", "stage"
         )
-        assert report.total_new_loc > 0
-        assert report.queue_size > 1
-        assert report.max_depth >= 1
+        assert result.new_loc > 0
+        assert len(result.corpus) > 0
+        assert stages.get("splice", 0) > 0
 
     def test_guided_beats_naive_on_equal_budget(self, guided_case):
         # The §IX motivation: smarter scheduling finds more coverage
         # than the PoC's single bit-flip for the same execution count.
-        manager, session, case = guided_case
-        budget = 250
-        guided = CoverageGuidedFuzzer(
-            manager, rng=random.Random(24)
-        ).run_campaign(
-            case, iterations=budget, from_snapshot=session.snapshot
-        )
-        naive_case = FuzzTestCase(
-            trace=case.trace, seed_index=case.seed_index,
-            area=case.area, n_mutations=budget,
-        )
-        naive = IrisFuzzer(
-            manager, rng=random.Random(24)
-        ).run_test_case(naive_case, from_snapshot=session.snapshot)
-        assert guided.total_new_loc >= naive.new_loc
+        guided = run_guided(guided_case, seed=24, budget=250)
+        naive = run_guided(guided_case, seed=24, budget=250,
+                           engine="poc")
+        assert guided.new_loc >= naive.new_loc
 
     def test_crashes_restored_and_counted(self, guided_case):
-        manager, session, case = guided_case
-        fuzzer = CoverageGuidedFuzzer(manager,
-                                      rng=random.Random(25))
-        report = fuzzer.run_campaign(
-            case, iterations=200, from_snapshot=session.snapshot
-        )
+        result = run_guided(guided_case, seed=25, budget=200)
         # Mutation stacks hit the same crash arms the PoC does.
-        assert report.vm_crashes + report.hypervisor_crashes > 0
-        assert report.failures
+        assert result.vm_crashes + result.hypervisor_crashes > 0
+        assert result.failures
 
 
 def record_of(kind, cause, reason, seed_reason=ExitReason.RDTSC):

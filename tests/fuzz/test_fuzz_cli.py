@@ -93,10 +93,8 @@ class TestEngineSelection:
     def test_smart_campaign_is_jobs_invariant_via_cli(
         self, tmp_path, capsys
     ):
-        # --store forces the campaign engine even at --jobs 1 (the
-        # bare jobs=1 path is the classic serial fuzzer, a different
-        # deliberate code path); within the engine, worker count must
-        # never change a result byte.
+        # Worker count must never change a result byte, the store's
+        # checkpointing included.
         outputs = []
         for jobs in ("1", "2"):
             main(self.ARGS + [
@@ -135,6 +133,45 @@ class TestEngineSelection:
             and not line.startswith("resumed:")
         )
         assert table(resumed_out) == table(full_out)
+
+
+def campaign_result(out: str) -> str:
+    """The deterministic part of ``iris-fuzz`` output: drop timings,
+    worker counts, the flight recorder and file pointers."""
+    lines = out.splitlines()
+    if "== campaign flight recorder ==" in lines:
+        # The block sits between a blank line and its metrics pointer.
+        start = lines.index("== campaign flight recorder ==") - 1
+        end = next(
+            i for i, line in enumerate(lines)
+            if line.startswith("metrics snapshot ->")
+        )
+        lines = lines[:start] + lines[end + 1:]
+    return "\n".join(
+        line for line in lines
+        if "mut/s" not in line and "recording" not in line
+        and "campaign stats" not in line
+    )
+
+
+def test_cli_output_is_invariant_to_jobs_and_observability(
+    tmp_path, capsys
+):
+    """Bare, ``--jobs 2`` and ``--metrics`` runs of one campaign report
+    the same exit code, result table and crash triage."""
+    args = [
+        "-w", "cpu-bound", "-n", "200", "--mutations", "40",
+        "--reasons", "RDTSC,CPUID",
+    ]
+    runs = []
+    for extra in ([], ["--jobs", "2"],
+                  ["--metrics", str(tmp_path / "m.json")]):
+        code = main(args + extra)
+        runs.append((code, campaign_result(capsys.readouterr().out)))
+    assert runs[0][0] == EXIT_CRASHES_FOUND
+    assert "Crash triage" in runs[0][1]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 class TestExitCodeContract:

@@ -521,10 +521,6 @@ class TestSmartEngine:
         assert seen & set(CPUID_LEAVES)
         assert seen & set(INTERESTING_GPR)
 
-    def test_bad_havoc_stack_rejected(self):
-        with pytest.raises(ValueError):
-            SmartEngine(make_case(), max_havoc_stack=0)
-
 
 class TestBuildEngine:
     def test_dispatch(self):

@@ -4,6 +4,7 @@ and the ``iris trace`` inspection subcommand."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -104,3 +105,16 @@ def test_fuzz_cli_metrics_are_jobs_invariant(tmp_path, capsys, jobs):
         )
     else:
         stash.write_text(metrics_file.read_text())
+
+
+def test_fuzz_flight_recorder_counts_the_recording(tmp_path, capsys):
+    """The printed flight recorder covers the whole run, so the
+    recording's exits show up beside the shards' counters."""
+    rc = fuzz_main([
+        "-w", "cpu-bound", "-n", "120", "--mutations", "4",
+        "--reasons", "RDTSC", "--metrics", str(tmp_path / "m.json"),
+    ])
+    assert rc in (0, 3)  # EXIT_OK / EXIT_CRASHES_FOUND
+    out = capsys.readouterr().out
+    assert "campaign flight recorder" in out
+    assert re.search(r"\brecorded: (\d+)", out).group(1) == "120"
