@@ -14,7 +14,7 @@ from repro.analysis import coverage_fitting, render_table
 from repro.analysis.accuracy import per_seed_coverage_diffs
 from repro.core.replay import SeedReplayResult
 from repro.core.seed import ExitMetrics, Trace, VMExitRecord
-from repro.hypervisor.coverage import NOISE_FILES
+from repro.hypervisor.coverage import NOISE_FILES, CoverageMap
 from repro.hypervisor.handlers import common as hc
 from repro.hypervisor import vlapic as vlapic_mod
 
@@ -42,8 +42,8 @@ def strip_noise_trace(trace: Trace) -> Trace:
             seed=record.seed,
             metrics=ExitMetrics(
                 vmwrites=record.metrics.vmwrites,
-                coverage_lines=frozenset(
-                    line for line in record.metrics.coverage_lines
+                coverage=CoverageMap(
+                    line for line in record.metrics.coverage.lines()
                     if not _is_noise_line(line)
                 ),
                 handler_cycles=record.metrics.handler_cycles,
@@ -60,8 +60,8 @@ def strip_noise_results(results):
         SeedReplayResult(
             outcome=result.outcome,
             handled_reason=result.handled_reason,
-            coverage_lines=frozenset(
-                line for line in result.coverage_lines
+            coverage=CoverageMap(
+                line for line in result.coverage.lines()
                 if not _is_noise_line(line)
             ),
             vmwrites=result.vmwrites,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from repro.core.replay import SeedReplayResult
 from repro.core.tracestore import TraceLike
-from repro.hypervisor.coverage import NOISE_FILES
+from repro.hypervisor.coverage import NOISE_FILES, CoverageMap
 from repro.vmx.exit_reasons import reason_name
 from repro.arch.fields import GUEST_STATE_FIELDS, ArchField
 from repro.x86.cpumodes import OperatingMode, mode_transitions
@@ -38,22 +38,22 @@ def coverage_fitting(
     trace: TraceLike, results: list[SeedReplayResult]
 ) -> CoverageFitting:
     """Compare recorded vs replayed cumulative coverage (Fig. 6)."""
-    recorded: set[tuple[str, int]] = set()
+    recorded = CoverageMap()
     recording_curve = []
     for record in trace.records:
-        recorded |= record.metrics.coverage_lines
+        recorded.merge(record.metrics.coverage)
         recording_curve.append(len(recorded))
 
-    replayed: set[tuple[str, int]] = set()
+    replayed = CoverageMap()
     replaying_curve = []
     for result in results:
-        replayed |= result.coverage_lines
+        replayed.merge(result.coverage)
         replaying_curve.append(len(replayed))
 
     return CoverageFitting(
         recorded_loc=len(recorded),
         replayed_loc=len(replayed),
-        intersection_loc=len(recorded & replayed),
+        intersection_loc=recorded.intersection_loc(replayed),
         recording_curve=recording_curve,
         replaying_curve=replaying_curve,
     )
@@ -91,14 +91,16 @@ def per_seed_coverage_diffs(
     for index, (record, result) in enumerate(
         zip(trace.records, results)
     ):
-        delta = record.metrics.coverage_lines ^ result.coverage_lines
+        delta = record.metrics.coverage.symmetric_difference(
+            result.coverage
+        )
         if not delta:
             continue
         diffs.append(SeedCoverageDiff(
             index=index,
             reason=reason_name(record.seed.exit_reason),
             diff_loc=len(delta),
-            files=tuple(sorted({f for f, _ in delta})),
+            files=tuple(sorted(delta.bitmaps())),
         ))
     return diffs
 

@@ -1001,7 +1001,7 @@ def trace_io(params: dict[str, int]) -> IterationOutcome:
                  rng.getrandbits(64))
                 for _ in range(6)
             ],
-            coverage_lines=frozenset(
+            coverage=CoverageMap(
                 (rng.choice(cover_files), rng.randrange(4000))
                 for _ in range(params["coverage_lines"])
             ),

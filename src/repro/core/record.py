@@ -29,6 +29,7 @@ from repro.core.seed import (
     WORST_CASE_SEED_BYTES,
 )
 from repro.core.tracestore import DEFAULT_FLUSH_EVERY, TraceWriter
+from repro.hypervisor.coverage import CoverageMap
 from repro.hypervisor.dispatch import NullHooks
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.vcpu import Vcpu
@@ -208,9 +209,9 @@ class Recorder(NullHooks):
         event = self.hv.current_event
         metrics = ExitMetrics(
             vmwrites=self._vmwrites if self.store_metrics else [],
-            coverage_lines=(
-                self.hv.exit_coverage.lines()
-                if self.store_metrics else frozenset()
+            coverage=(
+                self.hv.exit_coverage.copy()
+                if self.store_metrics else CoverageMap()
             ),
             handler_cycles=self.hv.clock.now - self._exit_start_tsc,
             guest_cycles=event.guest_cycles if event else 0,

@@ -29,6 +29,7 @@ from repro.arch.fields import ArchField, is_read_only
 from repro.core.seed import VMSeed
 from repro.core.tracestore import TraceLike
 from repro.errors import GuestCrash, HypervisorCrash, VirtError
+from repro.hypervisor.coverage import CoverageMap
 from repro.hypervisor.dispatch import ExitEvent, NullHooks
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.vcpu import Vcpu
@@ -69,7 +70,9 @@ class SeedReplayResult:
 
     outcome: ReplayOutcome
     handled_reason: ExitReason | None = None
-    coverage_lines: frozenset[tuple[str, int]] = frozenset()
+    #: This exit's coverage: a copy of the hypervisor's per-exit map,
+    #: which the next exit resets and refills in place.
+    coverage: CoverageMap = field(default_factory=CoverageMap)
     vmwrites: list[tuple[ArchField, int]] = field(default_factory=list)
     handler_cycles: int = 0
     crash_reason: str | None = None
@@ -240,7 +243,7 @@ class Replayer(NullHooks):
             self._capture_writes = False
             return SeedReplayResult(
                 outcome=ReplayOutcome.VM_CRASH,
-                coverage_lines=self.hv.exit_coverage.lines(),
+                coverage=self.hv.exit_coverage.copy(),
                 vmwrites=list(self._vmwrites),
                 handler_cycles=self.hv.clock.now - start,
                 crash_reason=crash.reason,
@@ -250,7 +253,7 @@ class Replayer(NullHooks):
             self._capture_writes = False
             return SeedReplayResult(
                 outcome=ReplayOutcome.HYPERVISOR_CRASH,
-                coverage_lines=self.hv.exit_coverage.lines(),
+                coverage=self.hv.exit_coverage.copy(),
                 vmwrites=list(self._vmwrites),
                 handler_cycles=self.hv.clock.now - start,
                 crash_reason=crash.reason,
@@ -263,7 +266,7 @@ class Replayer(NullHooks):
             self._capture_writes = False
             return SeedReplayResult(
                 outcome=ReplayOutcome.HYPERVISOR_CRASH,
-                coverage_lines=self.hv.exit_coverage.lines(),
+                coverage=self.hv.exit_coverage.copy(),
                 vmwrites=list(self._vmwrites),
                 handler_cycles=self.hv.clock.now - start,
                 crash_reason=f"virtualization instruction failure: {crash}",
@@ -271,7 +274,7 @@ class Replayer(NullHooks):
         return SeedReplayResult(
             outcome=ReplayOutcome.OK,
             handled_reason=handled,
-            coverage_lines=self.hv.exit_coverage.lines(),
+            coverage=self.hv.exit_coverage.copy(),
             vmwrites=list(self._vmwrites),
             handler_cycles=self.hv.clock.now - start,
         )

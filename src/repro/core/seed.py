@@ -20,6 +20,7 @@ from itertools import chain, repeat
 from typing import Any, NamedTuple, NoReturn, Sequence
 
 from repro.errors import SeedFormatError
+from repro.hypervisor.coverage import MAX_COVERAGE_LINE, CoverageMap
 from repro.vmx.exit_reasons import ExitReason, exit_reason_for, reason_name
 from repro.arch.fields import (
     ALL_FIELDS,
@@ -372,19 +373,20 @@ class ExitMetrics:
 
     * ``vmwrites`` — ordered VMCS {field, value} pairs written (the
       fine-grained VM-state-change accuracy metric);
-    * ``coverage_lines`` — hypervisor lines covered during this exit;
+    * ``coverage`` — hypervisor lines covered during this exit, as a
+      bitmap map copied from the hypervisor's per-exit coverage;
     * ``handler_cycles`` — TSC cycles spent handling the exit;
     * ``guest_cycles`` — cycles the guest ran before this exit (what
       replay elides).
     """
 
     vmwrites: list[tuple[ArchField, int]] = field(default_factory=list)
-    coverage_lines: frozenset[tuple[str, int]] = frozenset()
+    coverage: CoverageMap = field(default_factory=CoverageMap)
     handler_cycles: int = 0
     guest_cycles: int = 0
 
     def coverage_loc(self) -> int:
-        return len(self.coverage_lines)
+        return len(self.coverage)
 
     def cr0_writes(self) -> list[int]:
         """Values written to GUEST_CR0 (Fig. 8's trajectory)."""
@@ -431,10 +433,10 @@ class Trace:
 
     def cumulative_coverage(self) -> list[int]:
         """Unique-LOC trajectory across the trace (Fig. 6's y-axis)."""
-        seen: set[tuple[str, int]] = set()
+        seen = CoverageMap()
         trajectory = []
         for record in self.records:
-            seen |= record.metrics.coverage_lines
+            seen.merge(record.metrics.coverage)
             trajectory.append(len(seen))
         return trajectory
 
@@ -512,9 +514,10 @@ class Trace:
             "vmwrites": [
                 [int(f), v] for f, v in metrics.vmwrites
             ],
-            "coverage": sorted(
-                [f, l] for f, l in metrics.coverage_lines
-            ),
+            "coverage": [
+                [file, line]
+                for file, line in metrics.coverage.sorted_lines()
+            ],
             "handler_cycles": metrics.handler_cycles,
             "guest_cycles": metrics.guest_cycles,
         }
@@ -527,13 +530,16 @@ class Trace:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SeedFormatError(f"bad metrics blob: {exc}") from exc
         try:
+            bitmaps: dict[str, int] = {}
+            for file, line in payload["coverage"]:
+                if not 0 <= line <= MAX_COVERAGE_LINE:
+                    raise ValueError(f"coverage line {line} out of range")
+                bitmaps[file] = bitmaps.get(file, 0) | 1 << line
             return ExitMetrics(
                 vmwrites=[
                     (field_for(f), v) for f, v in payload["vmwrites"]
                 ],
-                coverage_lines=frozenset(
-                    (f, l) for f, l in payload["coverage"]
-                ),
+                coverage=CoverageMap.from_bitmaps(bitmaps),
                 handler_cycles=payload["handler_cycles"],
                 guest_cycles=payload["guest_cycles"],
             )

@@ -51,7 +51,7 @@ import mmap
 import os
 import struct
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Protocol, Union, runtime_checkable
@@ -64,6 +64,7 @@ from repro.core.seed import (
     VMSeed,
 )
 from repro.errors import SeedFormatError
+from repro.hypervisor.coverage import MAX_COVERAGE_LINE, CoverageMap
 from repro.vmx.exit_reasons import ExitReason, exit_reason_for, reason_name
 
 MAGIC = b"IRISTRC2"
@@ -156,8 +157,9 @@ def pack_metrics(
     (new names are interned in sorted-name order); the writer
     serializes the table once into the footer.  Coverage pairs are
     packed in ascending (line, interned id) order, so the encoding of
-    a given trace is byte-deterministic regardless of set iteration
-    order.
+    a given trace is byte-deterministic regardless of the map's
+    private intern order.  A line past :data:`MAX_COVERAGE_LINE`
+    raises :class:`SeedFormatError`.
     """
     writes = metrics.vmwrites
     n_writes = len(writes)
@@ -165,34 +167,36 @@ def pack_metrics(
         raise SeedFormatError(
             f"too many vmwrites to encode: {n_writes}"
         )
-    try:
-        cov_keys = [
-            line << 32 | name_table[name]
-            for name, line in metrics.coverage_lines
-        ]
-    except KeyError:
-        # First sighting of a file name: intern in sorted-name order
-        # so id assignment never depends on set iteration order.
-        cov_keys = []
-        for name, line in sorted(metrics.coverage_lines):
-            name_id = name_table.get(name)
-            if name_id is None:
-                name_id = len(name_table)
-                if name_id > 0xFFFFFFFF:
-                    raise SeedFormatError(
-                        "coverage name table overflow"
-                    )
-                name_table[name] = name_id
-            cov_keys.append(line << 32 | name_id)
+    bitmaps = metrics.coverage.bitmaps()
+    if not name_table.keys() >= bitmaps.keys():
+        # First sighting of a name: intern new names in sorted-name
+        # order, so ids never depend on a map's private intern order.
+        for name in sorted(bitmaps):
+            if name not in name_table:
+                if len(name_table) > 0xFFFFFFFF:
+                    raise SeedFormatError("coverage name table overflow")
+                name_table[name] = len(name_table)
+    cov_keys: list[int] = []
+    for name, bits in bitmaps.items():
+        if bits.bit_length() - 1 > MAX_COVERAGE_LINE:
+            raise SeedFormatError(
+                f"coverage line {bits.bit_length() - 1} past the "
+                f"{MAX_COVERAGE_LINE} limit"
+            )
+        name_id = name_table[name]
+        # set_bits, inlined: the one loop that runs per covered line.
+        while bits:
+            top = bits.bit_length() - 1
+            cov_keys.append(top << 32 | name_id)
+            bits ^= 1 << top
     cov_keys.sort()
     packer = _metrics_pack_struct(n_writes, len(cov_keys))
     field_ids = FIELD_INDEX
     try:
         # Fast path: known fields, everything already in range.  An
         # unknown field raises KeyError; an out-of-range value (the
-        # codec masks to 64 bits) or coverage line (the shifted key
-        # overflows 64 bits) raises struct.error — both land in the
-        # validating pass below.
+        # codec masks to 64 bits) raises struct.error — both land in
+        # the validating pass below.
         wflat = [
             x for f, v in writes for x in (field_ids[f], v)
         ]
@@ -206,16 +210,11 @@ def pack_metrics(
     for f, v in writes:
         wflat.append(field_index(f))
         wflat.append(v & _VALUE_MASK)
-    try:
-        return packer.pack(
-            n_writes, *wflat, len(cov_keys), *cov_keys,
-            metrics.handler_cycles & _VALUE_MASK,
-            metrics.guest_cycles & _VALUE_MASK,
-        )
-    except struct.error as exc:
-        raise SeedFormatError(
-            "coverage line outside the 32-bit range"
-        ) from exc
+    return packer.pack(
+        n_writes, *wflat, len(cov_keys), *cov_keys,
+        metrics.handler_cycles & _VALUE_MASK,
+        metrics.guest_cycles & _VALUE_MASK,
+    )
 
 
 def unpack_metrics(
@@ -224,8 +223,10 @@ def unpack_metrics(
     """Decode one binary metrics blob (zero-copy over a view).
 
     Same hardening contract as the seed codec: truncation anywhere,
-    trailing bytes, an out-of-range field index or name id — all raise
-    :class:`SeedFormatError` at parse time.
+    trailing bytes, an out-of-range field index or name id, a coverage
+    line past :data:`MAX_COVERAGE_LINE` — all raise
+    :class:`SeedFormatError` at parse time, the last before any bitmap
+    is built.
     """
     view = raw if type(raw) is memoryview else memoryview(raw)
 
@@ -252,22 +253,35 @@ def unpack_metrics(
     need(offset, _U32.size)
     (n_coverage,) = _U32.unpack_from(view, offset)
     offset += _U32.size
-    coverage: frozenset[tuple[str, int]] = frozenset()
+    coverage = CoverageMap()
     if n_coverage:
+        # Length first: the count is untrusted, and the struct for it
+        # is built only once the bytes are known to be there.
+        need(offset, 8 * n_coverage)
         coverage_struct = _coverage_struct(n_coverage)
-        need(offset, coverage_struct.size)
         flat = coverage_struct.unpack_from(view, offset)
         offset += coverage_struct.size
-        try:
-            coverage = frozenset(
-                (names[flat[i]], flat[i + 1])
-                for i in range(0, 2 * n_coverage, 2)
-            )
-        except IndexError:
+        ids = flat[0::2]
+        lines = flat[1::2]
+        if max(ids) >= len(names):
             raise SeedFormatError(
                 "bad metrics blob: coverage name id outside the "
                 "interned name table"
-            ) from None
+            )
+        # Bound before any shift: ``1 << line`` allocates line/8 bytes.
+        if max(lines) > MAX_COVERAGE_LINE:
+            raise SeedFormatError(
+                f"bad metrics blob: coverage line {max(lines)} past "
+                f"the {MAX_COVERAGE_LINE} limit"
+            )
+        by_id: dict[int, int] = {}
+        for name_id, line in zip(ids, lines):
+            by_id[name_id] = by_id.get(name_id, 0) | 1 << line
+        bitmaps: dict[str, int] = {}
+        for name_id, bits in by_id.items():
+            name = names[name_id]
+            bitmaps[name] = bitmaps.get(name, 0) | bits
+        coverage = CoverageMap.from_bitmaps(bitmaps)
     need(offset, _CYCLES.size)
     handler_cycles, guest_cycles = _CYCLES.unpack_from(view, offset)
     offset += _CYCLES.size
@@ -275,7 +289,7 @@ def unpack_metrics(
         raise SeedFormatError("trailing bytes after metrics blob")
     return ExitMetrics(
         vmwrites=vmwrites,  # type: ignore[arg-type]
-        coverage_lines=coverage,
+        coverage=coverage,
         handler_cycles=handler_cycles,
         guest_cycles=guest_cycles,
     )
@@ -678,10 +692,10 @@ class TraceReader(Sequence[VMExitRecord]):
         return sum(record.metrics.guest_cycles for record in self)
 
     def cumulative_coverage(self) -> list[int]:
-        seen: set[tuple[str, int]] = set()
+        seen = CoverageMap()
         trajectory = []
         for record in self:
-            seen |= record.metrics.coverage_lines
+            seen.merge(record.metrics.coverage)
             trajectory.append(len(seen))
         return trajectory
 

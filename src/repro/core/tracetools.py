@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.core.seed import Trace, VMExitRecord
 from repro.core.tracestore import TraceLike
+from repro.hypervisor.coverage import CoverageMap
 from repro.vmx.exit_reasons import ExitReason, exit_reason_for
 
 
@@ -101,9 +102,9 @@ def trace_stats(trace: TraceLike) -> TraceStats:
     writes = [
         len(record.metrics.vmwrites) for record in trace.records
     ]
-    lines: set[tuple[str, int]] = set()
-    for record in trace.records:
-        lines |= record.metrics.coverage_lines
+    lines = CoverageMap.union_all(
+        record.metrics.coverage for record in trace.records
+    )
     return TraceStats(
         workload=trace.workload,
         exits=len(trace),
@@ -157,13 +158,13 @@ def diff_traces(a: TraceLike, b: TraceLike) -> TraceDiff:
         elif count_a != count_b:
             diff.reason_deltas[name] = count_b - count_a
 
-    lines_a: set[tuple[str, int]] = set()
-    for record in a.records:
-        lines_a |= record.metrics.coverage_lines
-    lines_b: set[tuple[str, int]] = set()
-    for record in b.records:
-        lines_b |= record.metrics.coverage_lines
-    diff.loc_shared = len(lines_a & lines_b)
-    diff.loc_only_in_a = len(lines_a - lines_b)
-    diff.loc_only_in_b = len(lines_b - lines_a)
+    lines_a = CoverageMap.union_all(
+        record.metrics.coverage for record in a.records
+    )
+    lines_b = CoverageMap.union_all(
+        record.metrics.coverage for record in b.records
+    )
+    diff.loc_shared = lines_a.intersection_loc(lines_b)
+    diff.loc_only_in_a = len(lines_a.difference(lines_b))
+    diff.loc_only_in_b = len(lines_b.difference(lines_a))
     return diff

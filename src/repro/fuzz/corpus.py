@@ -15,6 +15,7 @@ from typing import Iterable
 
 from repro.core.seed import VMSeed
 from repro.fuzz.failures import FailureKind
+from repro.hypervisor.coverage import CoverageMap
 
 
 @dataclass(frozen=True)
@@ -27,12 +28,18 @@ class CorpusEntry:
     coverage_fingerprint: str = ""
 
 
-def coverage_fingerprint(lines: frozenset[tuple[str, int]]) -> str:
-    """Stable fingerprint of a coverage set."""
-    digest = hashlib.sha256()
-    for file, line in sorted(lines):
-        digest.update(f"{file}:{line};".encode())
-    return digest.hexdigest()[:16]
+def coverage_fingerprint(coverage: CoverageMap) -> str:
+    """Stable fingerprint of a coverage map.
+
+    SHA-256 over ``file:line;`` in :meth:`CoverageMap.sorted_lines`
+    order, the order a sorted set of ``(file, line)`` tuples iterates
+    in, so fingerprints stay byte-identical to those stored before
+    coverage was handed around as bitmaps.
+    """
+    text = "".join([
+        f"{file}:{line};" for file, line in coverage.sorted_lines()
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def entry_identity(entry: CorpusEntry) -> tuple:
@@ -61,7 +68,7 @@ class Corpus:
     def consider(
         self,
         seed: VMSeed,
-        lines: frozenset[tuple[str, int]],
+        lines: CoverageMap,
         new_loc: int,
         failure: FailureKind = FailureKind.NONE,
     ) -> bool:

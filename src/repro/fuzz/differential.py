@@ -45,7 +45,7 @@ from repro.core.seed import VMSeed
 from repro.core.snapshot import VmSnapshot, restore_snapshot, take_snapshot
 from repro.fuzz.testcase import FuzzTestCase
 from repro.fuzz.triage import _NORMALIZERS
-from repro.hypervisor.coverage import denoise
+from repro.hypervisor.coverage import CoverageMap, denoise
 from repro.svm.translate import (
     ROUND_TRIP_FIELDS,
     translate_seed,
@@ -313,10 +313,8 @@ def _format_fields(
     return shown or "none"
 
 
-def _format_lines(
-    lines: Iterable[tuple[str, int]], limit: int = 3
-) -> str:
-    ordered = sorted(lines)
+def _format_lines(coverage: CoverageMap, limit: int = 3) -> str:
+    ordered = sorted(coverage.lines())
     shown = ", ".join(
         f"{file}:{line}" for file, line in ordered[:limit]
     )
@@ -347,8 +345,8 @@ class DifferentialOracle:
         self.untranslatable_seeds = 0
         self._manager: IrisManager | None = None
         self._state_r: VmSnapshot | None = None
-        self._baseline_lines: frozenset[tuple[str, int]] = frozenset()
-        self._vmx_baseline_lines: frozenset[tuple[str, int]] = frozenset()
+        self._baseline_lines = CoverageMap()
+        self._vmx_baseline_lines = CoverageMap()
         self._enabled = False
         self._baseline_untranslatable = False
 
@@ -358,7 +356,7 @@ class DifferentialOracle:
         self,
         case: FuzzTestCase,
         from_snapshot: VmSnapshot | None,
-        vmx_baseline_lines: frozenset[tuple[str, int]],
+        vmx_baseline_lines: CoverageMap,
     ) -> DivergenceRecord | None:
         """Reach the cell's target state on the secondary backend.
 
@@ -371,7 +369,7 @@ class DifferentialOracle:
         self.untranslatable_seeds = 0
         self._enabled = False
         self._baseline_untranslatable = False
-        self._vmx_baseline_lines = frozenset(vmx_baseline_lines)
+        self._vmx_baseline_lines = vmx_baseline_lines
 
         manager = IrisManager.cold_start(
             "svm", fast_reset=False, snapshot=from_snapshot
@@ -412,7 +410,7 @@ class DifferentialOracle:
                 f"{baseline.crash_reason}",
                 svm_outcome=baseline.outcome.value,
             )
-        self._baseline_lines = denoise(baseline.coverage_lines)
+        self._baseline_lines = denoise(baseline.coverage)
         assert manager.dummy_vm is not None
         self._state_r = take_snapshot(manager.hv, manager.dummy_vm)
         self._enabled = True
@@ -513,12 +511,11 @@ class DifferentialOracle:
                     f"[{_format_fields(svm_echo - vmx_echo)}]"
                 ),
             )
-        vmx_delta = (
-            denoise(vmx_result.coverage_lines)
-            - self._vmx_baseline_lines
+        vmx_delta = denoise(vmx_result.coverage).difference(
+            self._vmx_baseline_lines
         )
-        svm_delta = (
-            denoise(svm_result.coverage_lines) - self._baseline_lines
+        svm_delta = denoise(svm_result.coverage).difference(
+            self._baseline_lines
         )
         if vmx_delta != svm_delta:
             return DivergenceRecord(
@@ -529,9 +526,9 @@ class DifferentialOracle:
                 svm_outcome=outcomes[1],
                 detail=(
                     "coverage deltas disagree: only-vmx "
-                    f"[{_format_lines(vmx_delta - svm_delta)}] "
+                    f"[{_format_lines(vmx_delta.difference(svm_delta))}] "
                     "only-svm "
-                    f"[{_format_lines(svm_delta - vmx_delta)}]"
+                    f"[{_format_lines(svm_delta.difference(vmx_delta))}]"
                 ),
             )
         return None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.core.manager import IrisManager
 from repro.core.replay import ReplayOutcome
 from repro.core.snapshot import VmSnapshot, restore_snapshot, take_snapshot
-from repro.hypervisor.coverage import denoise
+from repro.hypervisor.coverage import CoverageMap, denoise
 from repro.fuzz.checkpoints import PrefixCheckpoints, replay_prefix
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.differential import (
@@ -166,7 +166,7 @@ class _TargetState:
     seed_index: int
     from_snapshot: VmSnapshot | None
     state_r: VmSnapshot
-    baseline_lines: set[tuple[str, int]]
+    baseline_lines: CoverageMap
     reach_cycles: int
 
     def matches(
@@ -323,7 +323,7 @@ class IrisFuzzer:
                 raise RuntimeError(
                     f"baseline seed crashed: {baseline.crash_reason}"
                 )
-            baseline_lines = denoise(baseline.coverage_lines)
+            baseline_lines = denoise(baseline.coverage)
             state_r = take_snapshot(hv, dummy)
             self._target_state = _TargetState(
                 trace=case.trace,
@@ -340,7 +340,7 @@ class IrisFuzzer:
             # — after both the cached and rebuild paths, so fast-reset
             # reuse on the primary never skips the oracle's own setup.
             baseline_divergence = self.oracle.begin_case(
-                case, from_snapshot, frozenset(baseline_lines)
+                case, from_snapshot, baseline_lines
             )
             if baseline_divergence is not None:
                 divergences.append(baseline_divergence)
@@ -357,7 +357,9 @@ class IrisFuzzer:
             area=case.area,
             baseline_loc=len(baseline_lines),
         )
-        discovered: set[tuple[str, int]] = set()
+        # What a mutant's coverage is fresh against: the baseline plus
+        # every line an earlier mutant discovered.
+        known = baseline_lines.copy()
 
         for index in range(case.n_mutations):
             cycles_before = hv.clock.now
@@ -377,9 +379,11 @@ class IrisFuzzer:
                 ):
                     divergences.append(record)
 
-            lines = denoise(outcome.coverage_lines)
-            fresh = lines - baseline_lines - discovered
-            discovered |= fresh
+            lines = denoise(outcome.coverage)
+            fresh = lines.difference(known)
+            new_loc = len(fresh)
+            if new_loc:
+                known.merge(fresh)
 
             failure = classify_result(outcome, mutated, index, hv.log)
             if failure is not None:
@@ -390,23 +394,24 @@ class IrisFuzzer:
                 if len(result.failures) < MAX_FAILURES_KEPT:
                     result.failures.append(failure)
                 result.corpus.consider(
-                    mutated, lines, len(fresh), failure.kind
+                    mutated, lines, new_loc, failure.kind
                 )
                 # Reset to the target VM state (the host "reboots" /
                 # the dummy VM is reverted, paper Fig. 11).
                 restore_snapshot(
                     hv, dummy, state_r, fast=self.fast_reset
                 )
-            elif fresh:
-                result.corpus.consider(mutated, lines, len(fresh))
+            elif new_loc:
+                result.corpus.consider(mutated, lines, new_loc)
             engine.feedback(
-                mutated, new_loc=len(fresh),
+                mutated, new_loc=new_loc,
                 cost_cycles=hv.clock.now - cycles_before,
                 crashed=failure is not None,
             )
 
+        discovered = known.difference(baseline_lines)
         result.new_loc = len(discovered)
-        result.new_lines = frozenset(discovered)
+        result.new_lines = discovered.lines()
         if OBS.metrics.enabled and engine.name == "smart":
             # Per-stage accounting for the staged pipeline only: the
             # poc path emits exactly the counters it always did, so

@@ -91,8 +91,8 @@ from repro.fuzz.mutations import MutationArea
 from repro.fuzz.testcase import FuzzTestCase
 from repro.hypervisor.coverage import CoverageMap
 from repro.obs import (
+    NULL_METRICS,
     NULL_TRACER,
-    OBS,
     MetricsRegistry,
     MetricsSnapshot,
     observability,
@@ -464,22 +464,24 @@ def _execute_task(task: ShardTask, context: WorkerContext) -> ShardOutcome:
             time.sleep(3600)
         store = None
         if task.fast_reset:
-            store = context.checkpoints(
-                task.arch, task.collect_metrics or OBS.metrics.enabled
-            )
+            store = context.checkpoints(task.arch, task.collect_metrics)
         args = (task, context.trace, context.snapshot, store)
-        metrics_snapshot = None
-        if task.collect_metrics:
-            # Hermetic capture: a fresh wall-clock-free registry (and a
-            # null tracer) scoped to this shard's context only, so the
-            # snapshot is a pure function of the task and merges
-            # identically for any ``jobs`` value.
-            registry = MetricsRegistry(record_wall=False)
-            with observability(tracer=NULL_TRACER, metrics=registry):
-                result = run_shard(*args)
-            metrics_snapshot = registry.snapshot()
-        else:
+        # Every shard runs under a scope of its own, never the caller's:
+        # a fresh wall-clock-free registry when the task collects
+        # metrics, the null one when it does not.  What a shard counts
+        # is then a pure function of the task — the inline transport
+        # leaks nothing into the caller's registry that a pool worker
+        # would not — and snapshots merge identically for any ``jobs``.
+        registry = (
+            MetricsRegistry(record_wall=False) if task.collect_metrics
+            else None
+        )
+        with observability(
+            tracer=NULL_TRACER,
+            metrics=NULL_METRICS if registry is None else registry,
+        ):
             result = run_shard(*args)
+        metrics_snapshot = None if registry is None else registry.snapshot()
         return ShardOutcome(
             cell_index=task.cell_index,
             shard_index=task.shard_index,

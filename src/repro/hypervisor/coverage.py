@@ -66,24 +66,35 @@ NOISE_FILES: frozenset[str] = frozenset({
 })
 
 
-def denoise(
-    lines: frozenset[tuple[str, int]]
-) -> frozenset[tuple[str, int]]:
-    """Drop :data:`NOISE_FILES` lines from a coverage set.
+#: Largest line number a coverage decoder accepts.  A bitmap turns a
+#: line number into an allocation (``1 << line``), so decoders of
+#: untrusted bytes bound it; the largest instrumented line is ~6,000.
+MAX_COVERAGE_LINE = 2**20 - 1
 
-    Returns a frozenset so the fuzzer's per-mutation loop can hand the
-    result straight to :meth:`repro.fuzz.corpus.Corpus.consider`
-    without another copy.
+
+def denoise(coverage: "CoverageMap") -> "CoverageMap":
+    """Mask :data:`NOISE_FILES` out of a coverage map.
+
+    A file mask, not a per-line filter: the result is a new map (the
+    input is left alone), built with one pass over the ~11 files.
     """
-    return frozenset(t for t in lines if t[0] not in NOISE_FILES)
+    return coverage.without_files(NOISE_FILES)
 
 
-def _iter_bits(bits: int) -> Iterator[int]:
-    """Yield the set-bit positions of ``bits`` in ascending order."""
+def set_bits(bits: int) -> list[int]:
+    """The set-bit positions of ``bits`` (the covered lines), ascending.
+
+    Peeled from the top: ``bit_length`` finds the highest line without
+    allocating, so each line costs one shift and one XOR, against three
+    big-int operations for lowest-bit peeling (``bits & -bits``).
+    """
+    lines = []
     while bits:
-        lsb = bits & -bits
-        yield lsb.bit_length() - 1
-        bits ^= lsb
+        top = bits.bit_length() - 1
+        lines.append(top)
+        bits ^= 1 << top
+    lines.reverse()
+    return lines
 
 
 @dataclass(frozen=True)
@@ -168,13 +179,33 @@ class CoverageMap:
             self._bits.append(0)
         return fid
 
-    def _bitmaps(self) -> dict[str, int]:
-        """Canonical name-keyed view (empty bitmaps dropped)."""
+    def bitmaps(self) -> dict[str, int]:
+        """Name-keyed view of the non-empty bitmaps (bit *n* = line *n*).
+
+        What codecs and fingerprints walk instead of materializing
+        :meth:`lines`; the ints are immutable, so the view is a
+        snapshot.
+        """
         return {
             file: bits
             for file, bits in zip(self._files, self._bits)
             if bits
         }
+
+    @classmethod
+    def from_bitmaps(cls, bitmaps: dict[str, int]) -> "CoverageMap":
+        """The inverse of :meth:`bitmaps` (empty bitmaps dropped).
+
+        A negative bitmap has infinitely many set bits, so walking its
+        lines would never end: it raises :class:`ValueError`.
+        """
+        out = cls()
+        for file, bits in bitmaps.items():
+            if bits < 0:
+                raise ValueError(f"negative coverage bitmap for {file!r}")
+            if bits:
+                out._bits[out._intern(file)] = bits
+        return out
 
     # -- accumulation --------------------------------------------------
 
@@ -302,11 +333,15 @@ class CoverageMap:
 
     def lines(self) -> frozenset[tuple[str, int]]:
         """Materialize the covered lines as (file, line) tuples."""
-        return frozenset(
-            (file, line)
-            for file, bits in zip(self._files, self._bits)
-            for line in _iter_bits(bits)
-        )
+        return frozenset(self.sorted_lines())
+
+    def sorted_lines(self) -> Iterator[tuple[str, int]]:
+        """The covered lines in sorted-file, ascending-line order: the
+        order of a sorted tuple set, which fingerprints and the
+        IRISTRC1 metrics JSON are written in."""
+        for file, bits in sorted(self.bitmaps().items()):
+            for line in set_bits(bits):
+                yield file, line
 
     def copy(self) -> "CoverageMap":
         clone = CoverageMap.__new__(CoverageMap)
@@ -344,7 +379,7 @@ class CoverageMap:
         return json.dumps(
             {
                 file: format(bits, "x")
-                for file, bits in sorted(self._bitmaps().items())
+                for file, bits in sorted(self.bitmaps().items())
             },
             separators=(",", ":"), sort_keys=True,
         )
@@ -354,17 +389,14 @@ class CoverageMap:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("coverage snapshot must be an object")
-        out = cls()
-        for file, hex_bits in payload.items():
-            bits = int(hex_bits, 16)
-            if bits:
-                out._bits[out._intern(file)] = bits
-        return out
+        return cls.from_bitmaps({
+            file: int(hex_bits, 16) for file, hex_bits in payload.items()
+        })
 
     # -- pickling (per-map intern tables travel whole) -----------------
 
     def __getstate__(self) -> dict[str, int]:
-        return self._bitmaps()
+        return self.bitmaps()
 
     def __setstate__(self, state: dict[str, int]) -> None:
         self._ids = {}
@@ -386,7 +418,7 @@ class CoverageMap:
         if not isinstance(other, CoverageMap):
             return NotImplemented
         # By-name comparison: intern order is private state.
-        return self._bitmaps() == other._bitmaps()
+        return self.bitmaps() == other.bitmaps()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CoverageMap({self.loc} LOC over {len(self.by_file())} files)"

@@ -262,9 +262,10 @@ class Hypervisor:
         vcpu.backend.deliver_exit_to_cpu(vcpu)
         self.clock.charge("vm_exit_context_switch")
         self.clock.charge("gpr_save")
-        # reset(), not a fresh map: consumers only ever materialize
-        # exit_coverage via lines(), and keeping the intern table warm
-        # spares a re-intern of the same files on every exit.
+        # reset(), not a fresh map: consumers keep a copy() taken at
+        # the end of the exit (replay results, recorded metrics), never
+        # this map itself, and keeping the intern table warm spares a
+        # re-intern of the same files on every exit.
         self.exit_coverage.reset()
         self.cov(hc.BLK_EXIT_PROLOGUE)
 

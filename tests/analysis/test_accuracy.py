@@ -18,6 +18,7 @@ from repro.core.seed import (
     VMExitRecord,
     VMSeed,
 )
+from repro.hypervisor.coverage import CoverageMap
 from repro.vmx.exit_reasons import ExitReason
 from repro.vmx.vmcs_fields import VmcsField
 from repro.x86.cpumodes import OperatingMode
@@ -28,7 +29,7 @@ def record_of(reason, lines, vmwrites=()):
         seed=VMSeed(exit_reason=int(reason)),
         metrics=ExitMetrics(
             vmwrites=list(vmwrites),
-            coverage_lines=frozenset(lines),
+            coverage=CoverageMap(lines),
         ),
     )
 
@@ -36,7 +37,7 @@ def record_of(reason, lines, vmwrites=()):
 def result_of(lines, vmwrites=()):
     return SeedReplayResult(
         outcome=ReplayOutcome.OK,
-        coverage_lines=frozenset(lines),
+        coverage=CoverageMap(lines),
         vmwrites=list(vmwrites),
     )
 

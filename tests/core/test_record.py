@@ -70,9 +70,8 @@ class TestSeedCapture:
                                        recorder):
         deliver(hv, vcpu, ExitReason.CPUID)
         record = recorder.trace.records[0]
-        assert record.metrics.coverage_lines
-        assert record.metrics.coverage_lines == \
-            hv.exit_coverage.lines()
+        assert record.metrics.coverage
+        assert record.metrics.coverage == hv.exit_coverage
 
     def test_handler_cycles_positive(self, hv, hvm_domain, vcpu,
                                      recorder):

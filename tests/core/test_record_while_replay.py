@@ -62,6 +62,5 @@ class TestMetricsTrace:
         )
         for result, record in zip(replay.results,
                                   replay.metrics_trace.records):
-            assert record.metrics.coverage_lines == \
-                result.coverage_lines
+            assert record.metrics.coverage == result.coverage
             assert record.metrics.vmwrites == result.vmwrites

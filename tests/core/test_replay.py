@@ -137,7 +137,7 @@ class TestSeedSubmission:
 
     def test_coverage_captured_per_seed(self, replayer):
         result = replayer.submit(rdtsc_seed())
-        assert result.coverage_lines
+        assert result.coverage
 
     def test_submission_counts(self, replayer):
         replayer.submit(rdtsc_seed())

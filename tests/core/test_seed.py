@@ -17,6 +17,7 @@ from repro.core.seed import (
     WORST_CASE_SEED_BYTES,
 )
 from repro.errors import SeedFormatError
+from repro.hypervisor.coverage import CoverageMap
 from repro.vmx.exit_reasons import ExitReason
 from repro.vmx.vmcs_fields import ALL_FIELDS, VmcsField
 from repro.x86.registers import GPR
@@ -146,7 +147,7 @@ class TestTrace:
             seed=make_seed(),
             metrics=ExitMetrics(
                 vmwrites=[(VmcsField.GUEST_RIP, 0x1002)],
-                coverage_lines=frozenset({("vmx.c", 1), ("vmx.c", 2)}),
+                coverage=CoverageMap({("vmx.c", 1), ("vmx.c", 2)}),
                 handler_cycles=90_000,
                 guest_cycles=1_000_000,
             ),
@@ -176,8 +177,8 @@ class TestTrace:
         assert len(loaded) == 2
         assert loaded.records[0].seed.entries == \
             trace.records[0].seed.entries
-        assert loaded.records[0].metrics.coverage_lines == \
-            trace.records[0].metrics.coverage_lines
+        assert loaded.records[0].metrics.coverage == \
+            trace.records[0].metrics.coverage
         assert loaded.records[0].metrics.vmwrites == \
             trace.records[0].metrics.vmwrites
 

@@ -10,6 +10,8 @@ identically through the new reader path.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +35,7 @@ from repro.core.tracestore import (
     write_trace,
 )
 from repro.errors import SeedFormatError
+from repro.hypervisor.coverage import MAX_COVERAGE_LINE, CoverageMap
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.domain import DomainType
 from repro.vmx.exit_reasons import ExitReason
@@ -58,7 +61,7 @@ def make_record(i: int = 0) -> VMExitRecord:
             (VmcsField.GUEST_RIP, 0x2000 + i),
             (VmcsField.GUEST_CR0, 0x11),
         ],
-        coverage_lines=frozenset({
+        coverage=CoverageMap({
             ("handlers/cpuid.c", 10 + i), ("dispatch.c", 3),
         }),
         handler_cycles=90_000 + i,
@@ -330,19 +333,19 @@ _vmwrites = st.lists(
     st.tuples(st.sampled_from(ALL_FIELDS), _metrics_values),
     max_size=40,
 )
-_coverage = st.frozensets(
+_coverage = st.builds(CoverageMap, st.frozensets(
     st.tuples(
         st.text(min_size=1, max_size=30).filter(
             lambda s: "\x00" not in s
         ),
-        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        st.integers(min_value=0, max_value=MAX_COVERAGE_LINE),
     ),
     max_size=30,
-)
+))
 _metrics = st.builds(
     ExitMetrics,
     vmwrites=_vmwrites,
-    coverage_lines=_coverage,
+    coverage=_coverage,
     handler_cycles=_metrics_values,
     guest_cycles=_metrics_values,
 )
@@ -361,7 +364,7 @@ class TestMetricsCodecProperties:
         assert decoded.vmwrites == [
             (f, v & _VALUE_MASK) for f, v in metrics.vmwrites
         ]
-        assert decoded.coverage_lines == metrics.coverage_lines
+        assert decoded.coverage == metrics.coverage
         assert decoded.handler_cycles == \
             metrics.handler_cycles & _VALUE_MASK
         assert decoded.guest_cycles == \
@@ -416,6 +419,63 @@ class TestMetricsCodecHardening:
     def test_empty_blob_rejected(self):
         with pytest.raises(SeedFormatError, match="truncated"):
             unpack_metrics(b"", ())
+
+    def test_huge_coverage_line_rejected_without_allocating(self):
+        """Line 0xFFFFFFFF would be a 512 MiB bitmap (``1 << line``);
+        the decoder must refuse it before building one."""
+        import struct
+        import tracemalloc
+
+        bad = struct.pack("<H", 0) + \
+            struct.pack("<III", 1, 0, 0xFFFFFFFF) + struct.pack("<QQ", 0, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SeedFormatError, match="line"):
+                unpack_metrics(bad, ("vmx.c",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_huge_coverage_line_in_a_trace_file_rejected(self, tmp_path):
+        import struct
+
+        path = tmp_path / "t.iris2"
+        record = make_record(0)
+        record.metrics.coverage = CoverageMap({("vmx.c", 4093)})
+        write_trace(Trace(workload="unit", records=[record]), path)
+        blob = path.read_bytes()
+        pair = struct.pack("<II", 0, 4093)
+        assert blob.count(pair) == 1
+        path.write_bytes(
+            blob.replace(pair, struct.pack("<II", 0, 0xFFFFFFFF))
+        )
+        with TraceReader(path) as reader:
+            with pytest.raises(SeedFormatError, match="line"):
+                reader[0]
+
+    def test_coverage_line_bound_is_inclusive(self):
+        metrics = ExitMetrics(
+            coverage=CoverageMap({("vmx.c", MAX_COVERAGE_LINE)})
+        )
+        names: dict[str, int] = {}
+        decoded = unpack_metrics(pack_metrics(metrics, names), tuple(names))
+        assert decoded.coverage == metrics.coverage
+
+    def test_pack_rejects_a_line_past_the_bound(self):
+        metrics = ExitMetrics(
+            coverage=CoverageMap({("vmx.c", MAX_COVERAGE_LINE + 1)})
+        )
+        with pytest.raises(SeedFormatError, match="line"):
+            pack_metrics(metrics, {})
+
+    def test_v1_metrics_reject_a_huge_coverage_line(self):
+        blob = json.dumps({
+            "vmwrites": [], "coverage": [["vmx.c", 0xFFFFFFFF]],
+            "handler_cycles": 0, "guest_cycles": 0,
+        }).encode()
+        with pytest.raises(SeedFormatError, match="line"):
+            Trace._unpack_metrics(blob)
 
 
 # ---- header truncation hardening, both formats -----------------------

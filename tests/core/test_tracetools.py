@@ -17,6 +17,7 @@ from repro.core.tracetools import (
     slice_trace,
     trace_stats,
 )
+from repro.hypervisor.coverage import CoverageMap
 from repro.vmx.exit_reasons import ExitReason
 from repro.x86.registers import GPR
 
@@ -27,7 +28,7 @@ def record_of(reason, lines=(), guest_cycles=100):
             SeedEntry.for_gpr(GPR.RAX, 0)
         ]),
         metrics=ExitMetrics(
-            coverage_lines=frozenset(lines),
+            coverage=CoverageMap(lines),
             guest_cycles=guest_cycles,
             handler_cycles=50,
         ),

@@ -254,7 +254,7 @@ class TestOracle:
         baseline = _vmx_baseline(recorded, case)
         assert baseline.outcome is ReplayOutcome.OK
         assert oracle.begin_case(
-            case, recorded.snapshot, baseline.coverage_lines,
+            case, recorded.snapshot, baseline.coverage,
         ) is None
         assert oracle.seeds_compared == 0
 
@@ -264,7 +264,7 @@ class TestOracle:
         oracle = DifferentialOracle()
         baseline = _vmx_baseline(recorded, case)
         oracle.begin_case(
-            case, recorded.snapshot, baseline.coverage_lines,
+            case, recorded.snapshot, baseline.coverage,
         )
         assert oracle.observe(0, case.target_seed, baseline) is None
         assert oracle.seeds_compared == 1
@@ -276,7 +276,7 @@ class TestOracle:
         def run() -> list[DivergenceRecord | None]:
             oracle = DifferentialOracle()
             oracle.begin_case(
-                case, recorded.snapshot, baseline.coverage_lines,
+                case, recorded.snapshot, baseline.coverage,
             )
             out = []
             for index in range(3):

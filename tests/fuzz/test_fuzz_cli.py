@@ -1,5 +1,7 @@
 """Unit tests for the ``iris-fuzz`` CLI."""
 
+import json
+
 import pytest
 
 from repro.fuzz.cli import (
@@ -172,6 +174,37 @@ def test_cli_output_is_invariant_to_jobs_and_observability(
     assert "Crash triage" in runs[0][1]
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
+
+
+def test_resumed_metrics_are_invariant_to_jobs(tmp_path, capsys):
+    """Resuming a store that ran without metrics, with ``--metrics``,
+    writes the same metric keys at ``--jobs 1`` and ``--jobs 2``.
+
+    Such shards do not collect hermetically; they must still run under
+    a scope of their own, or the inline transport leaks their counters
+    into the CLI's registry while pool workers do not.
+    """
+    args = [
+        "-w", "cpu-bound", "-n", "150", "--mutations", "10",
+        "--reasons", "RDTSC,CPUID",
+    ]
+    snapshots = []
+    for jobs in ("1", "2"):
+        db = str(tmp_path / f"jobs{jobs}.db")
+        assert main(
+            args + ["--store", db, "--crash-after-wave", "0"]
+        ) == EXIT_ABORTED
+        metrics = tmp_path / f"jobs{jobs}.json"
+        main(["--store", db, "--resume", "--jobs", jobs,
+              "--metrics", str(metrics)])
+        capsys.readouterr()
+        snapshots.append(json.loads(metrics.read_text()))
+    keys = [
+        (sorted(s["counters"]), sorted(s["histograms"]))
+        for s in snapshots
+    ]
+    assert keys[0] == keys[1]
+    assert snapshots[0]["counters"] == snapshots[1]["counters"]
 
 
 class TestExitCodeContract:

@@ -59,7 +59,7 @@ _seeds = st.builds(
 
 _observations = st.tuples(
     _seeds,
-    _line_sets,
+    coverage_maps,
     st.integers(min_value=0, max_value=5),  # new_loc
     st.sampled_from([
         FailureKind.NONE,

@@ -21,6 +21,7 @@ from repro.fuzz.failures import (
 )
 from repro.fuzz.mutations import MutationArea
 from repro.fuzz.testcase import FuzzTestCase, plan_test_cases
+from repro.hypervisor.coverage import CoverageMap
 from repro.hypervisor.xenlog import XenLog
 from repro.vmx.exit_reasons import ExitReason
 from repro.x86.registers import GPR
@@ -173,7 +174,7 @@ class TestFailureClassification:
 
 class TestCorpus:
     def lines(self, *nums):
-        return frozenset(("f.c", n) for n in nums)
+        return CoverageMap(("f.c", n) for n in nums)
 
     def test_new_coverage_retained(self):
         corpus = Corpus()
@@ -206,7 +207,7 @@ class TestCorpus:
 
     def test_fingerprint_is_order_insensitive(self):
         a = coverage_fingerprint(self.lines(1, 2, 3))
-        b = coverage_fingerprint(frozenset(
+        b = coverage_fingerprint(CoverageMap(
             [("f.c", 3), ("f.c", 1), ("f.c", 2)]
         ))
         assert a == b

@@ -214,6 +214,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             CoverageMap.from_json("[1, 2]")
 
+    def test_from_json_rejects_a_negative_bitmap(self):
+        # "-1" would be a map with infinitely many lines: lines() on it
+        # never returns.
+        with pytest.raises(ValueError, match="negative"):
+            CoverageMap.from_json('{"a.c":"-1"}')
+
     @given(_line_sets)
     def test_pickle_roundtrip(self, lines):
         cov = CoverageMap(lines)

@@ -137,5 +137,4 @@ def test_trace_binary_roundtrip_arbitrary(tmp_path_factory, ops,
         assert reloaded.seed.entries == original.seed.entries
         assert reloaded.seed.exit_reason == original.seed.exit_reason
         assert reloaded.metrics.vmwrites == original.metrics.vmwrites
-        assert reloaded.metrics.coverage_lines == \
-            original.metrics.coverage_lines
+        assert reloaded.metrics.coverage == original.metrics.coverage
