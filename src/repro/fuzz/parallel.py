@@ -93,6 +93,7 @@ from repro.hypervisor.coverage import CoverageMap
 from repro.obs import (
     NULL_METRICS,
     NULL_TRACER,
+    AnyMetrics,
     MetricsRegistry,
     MetricsSnapshot,
     observability,
@@ -472,16 +473,15 @@ def _execute_task(task: ShardTask, context: WorkerContext) -> ShardOutcome:
         # is then a pure function of the task — the inline transport
         # leaks nothing into the caller's registry that a pool worker
         # would not — and snapshots merge identically for any ``jobs``.
-        registry = (
+        metrics: AnyMetrics = (
             MetricsRegistry(record_wall=False) if task.collect_metrics
-            else None
+            else NULL_METRICS
         )
-        with observability(
-            tracer=NULL_TRACER,
-            metrics=NULL_METRICS if registry is None else registry,
-        ):
+        with observability(tracer=NULL_TRACER, metrics=metrics):
             result = run_shard(*args)
-        metrics_snapshot = None if registry is None else registry.snapshot()
+        metrics_snapshot = (
+            metrics.snapshot() if task.collect_metrics else None
+        )
         return ShardOutcome(
             cell_index=task.cell_index,
             shard_index=task.shard_index,

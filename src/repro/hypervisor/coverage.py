@@ -66,10 +66,12 @@ NOISE_FILES: frozenset[str] = frozenset({
 })
 
 
-#: Largest line number a coverage decoder accepts.  A bitmap turns a
+#: Largest line number the metrics codecs accept.  A bitmap turns a
 #: line number into an allocation (``1 << line``), so decoders of
-#: untrusted bytes bound it; the largest instrumented line is ~6,000.
-MAX_COVERAGE_LINE = 2**20 - 1
+#: untrusted bytes bound it: one 8-byte (name id, line) pair decodes
+#: to at most an 8 KiB bitmap.  The largest instrumented line is
+#: ~6,000, so this leaves ten times that as headroom.
+MAX_COVERAGE_LINE = 2**16 - 1
 
 
 def denoise(coverage: "CoverageMap") -> "CoverageMap":

@@ -42,6 +42,7 @@ from repro.campaign import (
     parse_worker_address,
     wire,
 )
+from repro.campaign.transport import _spread_cpus, _start_on
 from repro.core.manager import IrisManager
 from repro.fuzz.mutations import MutationArea
 from repro.fuzz.parallel import ParallelCampaign, ShardTask
@@ -524,6 +525,35 @@ def test_missed_heartbeats_declare_the_worker_dead(recordings):
     assert transport.stats.reassignments == 1
     assert transport.stats.retries >= 1
     transport.close()
+
+
+# ---- local pool worker placement ---------------------------------------
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API"
+)
+class TestWorkerPlacement:
+    def test_workers_start_on_distinct_allowed_cpus(self):
+        allowed = os.sched_getaffinity(0)
+        for size in range(1, len(allowed) + 1):
+            cpus = _spread_cpus(size)
+            assert len(cpus) == size
+            assert len(set(cpus)) == size
+            assert set(cpus) <= allowed
+
+    def test_no_preference_with_more_workers_than_cpus(self):
+        size = len(os.sched_getaffinity(0)) + 1
+        assert _spread_cpus(size) == [None] * size
+
+    def test_starting_on_a_cpu_keeps_every_cpu_allowed(self):
+        allowed = os.sched_getaffinity(0)
+        _start_on(max(allowed))
+        assert os.sched_getaffinity(0) == allowed
+
+    def test_an_unavailable_cpu_is_ignored(self):
+        allowed = os.sched_getaffinity(0)
+        _start_on(max(allowed) + 4096)
+        assert os.sched_getaffinity(0) == allowed
 
 
 # ---- addressing and chaos plumbing ------------------------------------

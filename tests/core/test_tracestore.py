@@ -437,6 +437,46 @@ class TestMetricsCodecHardening:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_high_line_pairs_decode_in_memory_bounded_by_the_blob(self):
+        """Every pair names its own file at the highest legal line, the
+        worst case for a bitmap decoder: the decoded bitmaps may cost
+        at most ~1,000x the blob, never the ~16,000x of a 2**20 bound."""
+        import struct
+        import tracemalloc
+
+        n_pairs = 256
+        names = tuple(f"f{i}.c" for i in range(n_pairs))
+        blob = struct.pack("<H", 0) + struct.pack("<I", n_pairs) + b"".join(
+            struct.pack("<II", i, MAX_COVERAGE_LINE) for i in range(n_pairs)
+        ) + struct.pack("<QQ", 0, 0)
+        tracemalloc.start()
+        try:
+            decoded = unpack_metrics(blob, names)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decoded.coverage.loc == n_pairs
+        assert peak < 2048 * len(blob)
+
+    def test_v1_high_line_pairs_decode_in_memory_bounded_by_the_blob(self):
+        import tracemalloc
+
+        n_pairs = 256
+        blob = json.dumps({
+            "vmwrites": [],
+            "coverage": [[f"f{i}.c", MAX_COVERAGE_LINE]
+                         for i in range(n_pairs)],
+            "handler_cycles": 0, "guest_cycles": 0,
+        }).encode()
+        tracemalloc.start()
+        try:
+            decoded = Trace._unpack_metrics(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decoded.coverage.loc == n_pairs
+        assert peak < 2048 * len(blob)
+
     def test_huge_coverage_line_in_a_trace_file_rejected(self, tmp_path):
         import struct
 
